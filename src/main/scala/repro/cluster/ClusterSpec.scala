@@ -1,5 +1,7 @@
 package repro.cluster
 
+import repro.params.ThetaC
+
 /** Static description of the simulated cluster and its price book.
   *
   * Mirrors the paper's testbed (§D.1.1): 6 nodes, 2×16-core Xeon and 768 GB
@@ -39,6 +41,17 @@ final case class ClusterSpec(
     * which is the main source of diminishing returns at scale.
     */
   def clusterIoMbPerSec: Double = nodes * nodeIoMbPerSec
+
+  /** Cloud cost (§3.3.2) in USD of holding `θc`'s resources for `latSec`
+    * while moving `ioMb`: CPU-hours + memory-hours + IO. The simulator
+    * bills executed runs and the models price predictions with it.
+    */
+  def costUsd(c: ThetaC, latSec: Double, ioMb: Double): Double = {
+    val hours = latSec / 3600.0
+    cpuUsdPerCoreHour * c.totalCores * hours +
+      memUsdPerGbHour * c.totalMemGb * hours +
+      ioUsdPerGb * (ioMb / 1024.0)
+  }
 }
 
 object ClusterSpec {

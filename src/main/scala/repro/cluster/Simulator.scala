@@ -242,14 +242,9 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
       }
     }
 
-    val hours = wall / 3600.0
-    val cost = spec.cpuUsdPerCoreHour * c.totalCores * hours +
-      spec.memUsdPerGbHour * c.totalMemGb * hours +
-      spec.ioUsdPerGb * (io / 1024.0)
-
     QueryExec(
       name = g.name, stages = stageExecs.result(),
-      wallSec = wall, analyticalSec = analytical, ioMb = io, costUsd = cost,
+      wallSec = wall, analyticalSec = analytical, ioMb = io, costUsd = spec.costUsd(c, wall, io),
       lqpRequestsNaive = g.numSubQs, lqpRequestsSent = lqpSent,
       qsRequestsNaive = qsNaive, qsRequestsSent = qsSent,
       joinAlgos = finalAlgos.toMap)

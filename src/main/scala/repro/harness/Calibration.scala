@@ -2,9 +2,8 @@ package repro.harness
 
 /** Experiment-size knobs, overridable via system properties or environment
   * (`REPRO_<NAME>`). Defaults are sized so the full bench suite reproduces
-  * the paper's table *shapes* on a laptop-class machine in tens of minutes;
-  * the paper's own settings (10k WS samples, 11 weights, Evo 100×500) are
-  * kept where they are cheap enough.
+  * the paper's table *shapes* on a laptop-class machine in tens of minutes.
+  * MO-WS always uses the paper's 11 weight pairs (`Baselines.wsAndSoFw`).
   */
 object Calibration {
 
@@ -26,9 +25,6 @@ object Calibration {
     */
   def wsSamples(bench: String): Int =
     int(s"ws_samples_$bench", if (bench == "tpch") 20000 else 8000)
-
-  /** Number of weight pairs for weighted-sum solvers. */
-  def wsWeights: Int = int("ws_weights", 11)
 
   /** Cap on queries per benchmark (0 = all); for quick smoke runs only. */
   def queryCap: Int = int("query_cap", 0)

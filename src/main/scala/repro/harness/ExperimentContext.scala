@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.cluster.{ClusterSpec, QueryExec, Simulator}
 import repro.model.{Models, QueryModels, Trainer}
 import repro.moo.{Baselines, FineConfig, Hmooc, MooResult, Pareto}
+import repro.params.Configuration
 import repro.workload.{QueryGraph, TpcdsLite, TpchLite}
 
 /** Shared, lazily built experiment state for the bench suites and jobs.
@@ -37,7 +38,7 @@ object ExperimentContext {
 
     private val defaultCache = TrieMap.empty[String, QueryExec]
     def defaultExec(g: QueryGraph): QueryExec =
-      defaultCache.getOrElseUpdate(g.name, Tuners.runDefault(sim, g, noiseSeed(g)))
+      defaultCache.getOrElseUpdate(g.name, sim.runStatic(g, Configuration.default, noiseSeed(g)))
 
     // MO-WS and SO-FW share one evaluated sample batch per query (identical
     // seed and count — the sharing is a pure compute saving).
@@ -45,8 +46,7 @@ object ExperimentContext {
       TrieMap.empty[String, (MooResult, Map[(Double, Double), Pareto.Sol[FineConfig]])]
     private def sampleSolves(g: QueryGraph) =
       sampleCache.getOrElseUpdate(g.name,
-        Baselines.wsAndSoFw(qm(g), Calibration.table5Prefs,
-          Calibration.wsSamples(bench), Calibration.wsWeights, seed = 23L))
+        Baselines.wsAndSoFw(qm(g), Calibration.table5Prefs, Calibration.wsSamples(bench), seed = 23L))
 
     def mows(g: QueryGraph): MooResult = sampleSolves(g)._1
 

@@ -53,8 +53,7 @@ object Table4Harness {
       val defExec = ctx.defaultExec(g)
 
       val mows = ctx.mows(g)
-      val mowsExec = Tuners.runQueryLevel(
-        ctx.sim, g, mows.recommend(pref).payload.asQueryLevel, seed)
+      val mowsExec = ctx.sim.runStatic(g, mows.recommend(pref).payload.asQueryLevel, seed)
 
       val hm = ctx.hmooc(g)
       val fc = hm.recommend(pref).payload

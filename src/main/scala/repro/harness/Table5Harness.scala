@@ -24,8 +24,7 @@ object Table5Harness {
         val seed = ctx.noiseSeed(g)
         val defExec = ctx.defaultExec(g)
 
-        val soExec = Tuners.runQueryLevel(
-          ctx.sim, g, ctx.soFw(g)(pref).payload.asQueryLevel, seed)
+        val soExec = ctx.sim.runStatic(g, ctx.soFw(g)(pref).payload.asQueryLevel, seed)
         sLat += soExec.wallSec / defExec.wallSec - 1.0
         sCost += soExec.costUsd / defExec.costUsd - 1.0
 

@@ -3,37 +3,31 @@ package repro.harness
 import repro.cluster.{QueryExec, Simulator}
 import repro.model.QueryModels
 import repro.moo.FineConfig
-import repro.params.Configuration
+import repro.params.{ThetaP, ThetaS}
 import repro.runtime.{RuntimeOptimizer, ThetaAggregator}
-import repro.workload.QueryGraph
+import repro.workload.{JoinAlgo, QueryGraph}
 
-/** End-to-end execution pipelines: turn a tuner's recommendation into a
-  * simulated run, mirroring how each method deploys on real Spark (§6.3).
+/** End-to-end deployment of a fine-grained recommendation on the simulator,
+  * mirroring how HMOOC deploys on real Spark (§6.3). Query-level
+  * recommendations (default, MO-WS, SO-FW) run through `Simulator.runStatic`.
   */
 object Tuners {
 
-  /** A tuned run: what was executed and how long tuning took. */
-  final case class Outcome(exec: QueryExec, solveTimeSec: Double)
-
-  /** Stock Spark: default configuration, AQE on, no tuner. */
-  def runDefault(sim: Simulator, g: QueryGraph, noiseSeed: Long): QueryExec =
-    sim.runStatic(g, Configuration.default, noiseSeed)
-
-  /** Deploy a query-level recommendation (MO-WS, SO-FW, Evo, PF): one
-    * configuration at submission, AQE with static parameter copies.
+  /** Submission (§C.2.1): `θc*` builds the context, and the `{θp}`/`{θs}`
+    * copies are aggregated into the single submission-time copies, under
+    * which the plan is compiled on estimated statistics.
     */
-  def runQueryLevel(sim: Simulator, g: QueryGraph, conf: Configuration, noiseSeed: Long): QueryExec =
-    sim.runStatic(g, conf, noiseSeed)
+  private def submit(sim: Simulator, g: QueryGraph, fc: FineConfig): (ThetaP, ThetaS, Map[Int, JoinAlgo]) = {
+    val pAgg = ThetaAggregator.aggregateP(g, fc)
+    (pAgg, ThetaAggregator.aggregateS(g, fc), sim.compilePlan(g, _ => pAgg))
+  }
 
-  /** Deploy a fine-grained compile-time recommendation without runtime
-    * re-optimization (HMOOC3): `θc*` builds the context, the `{θp}`/`{θs}`
-    * copies are aggregated into the single submission-time copies (§C.2.1),
-    * and plain AQE runs with those static copies.
+  /** Deploy without runtime re-optimization (HMOOC3): plain AQE runs with
+    * the static submission-time copies.
     */
   def runCompileTime(sim: Simulator, g: QueryGraph, fc: FineConfig, noiseSeed: Long): QueryExec = {
-    val pAgg = ThetaAggregator.aggregateP(g, fc)
-    val sAgg = ThetaAggregator.aggregateS(g, fc)
-    sim.execute(g, fc.thetaC, sim.compilePlan(g, _ => pAgg), pAgg, sAgg, hooks = None, noiseSeed)
+    val (pAgg, sAgg, plan) = submit(sim, g, fc)
+    sim.execute(g, fc.thetaC, plan, pAgg, sAgg, hooks = None, noiseSeed)
   }
 
   /** Deploy with runtime optimization on top (HMOOC3+): same submission as
@@ -48,10 +42,8 @@ object Tuners {
       fc: FineConfig,
       pref: (Double, Double),
       noiseSeed: Long): (QueryExec, RuntimeOptimizer) = {
-    val pAgg = ThetaAggregator.aggregateP(g, fc)
-    val sAgg = ThetaAggregator.aggregateS(g, fc)
+    val (pAgg, sAgg, plan) = submit(sim, g, fc)
     val opt = new RuntimeOptimizer(qm, fc.cU, pref, pInit = pAgg)
-    val exec = sim.execute(g, fc.thetaC, sim.compilePlan(g, _ => pAgg), pAgg, sAgg, Some(opt), noiseSeed)
-    (exec, opt)
+    (sim.execute(g, fc.thetaC, plan, pAgg, sAgg, Some(opt), noiseSeed), opt)
   }
 }

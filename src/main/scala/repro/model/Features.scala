@@ -1,7 +1,7 @@
 package repro.model
 
-import repro.cluster.ClusterSpec
-import repro.params.{SparkParams, ThetaC}
+import repro.params.SparkParams
+import repro.workload.JoinAlgo
 
 /** Feature assembly shared by the three model targets (§4.3).
   *
@@ -69,21 +69,21 @@ object Features {
   /** Width of the rule-hint block appended after θ. */
   val hintDim: Int = 8
 
-  /** The parametric-rule join algorithm code (0 none, 1 BHJ, 2 SHJ, 3 SMJ)
-    * implied by the build-side size and the `θp` thresholds in `unit19` —
-    * the compile-time stand-in for the physical operator the paper encodes.
+  /** The [[JoinAlgo.code]] of the parametric-rule join algorithm implied by
+    * the build-side size and the `θp` thresholds in `unit19` — the model's
+    * copy of `Simulator.chooseAlgo`, and the compile-time stand-in for the
+    * physical operator the paper encodes.
     */
   def ruleAlgoCode(isJoin: Boolean, buildMb: Double, unit19: Array[Double]): Int = {
     import SparkParams._
-    if (!isJoin) 0
-    else {
+    JoinAlgo.code(Option.when(isJoin) {
       val s3 = ShuffledHashThresholdMb.fromUnit(unit19(dC + 2))
       val s4 = BroadcastThresholdMb.fromUnit(unit19(dC + 3))
       val s5 = ShufflePartitions.fromUnit(unit19(dC + 4))
-      if (buildMb <= s4) 1
-      else if (buildMb / math.max(1.0, s5) <= s3) 2
-      else 3
-    }
+      if (buildMb <= s4) JoinAlgo.BHJ
+      else if (buildMb / math.max(1.0, s5) <= s3) JoinAlgo.SHJ
+      else JoinAlgo.SMJ
+    })
   }
 
   /** Rule hints appended after θ: physical-operator one-hot, spill risk,
@@ -132,19 +132,7 @@ object Features {
       case None => false
       case Some(pid) =>
         val parent = g.subQs(pid)
-        !(parent.isJoin && ruleAlgoCode(isJoin = true, parentBuildMb(pid), unit19) == 1)
+        !(parent.isJoin &&
+          ruleAlgoCode(isJoin = true, parentBuildMb(pid), unit19) == JoinAlgo.code(Some(JoinAlgo.BHJ)))
     }
-}
-
-/** Converts model outputs into the MOO objective space (§3.3.2): query
-  * latency and cloud cost in USD (CPU-hours + memory-hours + IO).
-  */
-object Objectives {
-  /** Cloud cost of running for `latSec` with `θc` resources moving `ioMb`. */
-  def costUsd(spec: ClusterSpec, c: ThetaC, latSec: Double, ioMb: Double): Double = {
-    val hours = latSec / 3600.0
-    spec.cpuUsdPerCoreHour * c.totalCores * hours +
-      spec.memUsdPerGbHour * c.totalMemGb * hours +
-      spec.ioUsdPerGb * (ioMb / 1024.0)
-  }
 }

@@ -36,7 +36,11 @@ final case class RegModel(mlp: Mlp, yMean: Array[Double], yStd: Array[Double]) {
   }
 }
 
-/** The three trained models of §4.3 plus their shared embedder. */
+/** The three trained models of §4.3 plus their shared embedder. The LQP
+  * model is trained and reported for Table 3 only: no decision uses it,
+  * because `RuntimeOptimizer` scores `θp` with the subQ model on true
+  * statistics.
+  */
 final case class Models(embedder: GraphEmbedder, subQ: RegModel, qs: RegModel, lqp: RegModel)
 
 /** Model-backed objective evaluation for one query.
@@ -133,7 +137,7 @@ final class QueryModels(val g: QueryGraph, val models: Models, val spec: Cluster
 
   /** Convert a subQ's predicted (latency, IO) into (latency, cloud cost). */
   def toObjectives(latSec: Double, ioMb: Double, c: ThetaC): (Double, Double) =
-    (latSec, Objectives.costUsd(spec, c, latSec, ioMb))
+    (latSec, spec.costUsd(c, latSec, ioMb))
 
   /** Per-subQ share of the Spark-context bring-up time under `θc` (the
     * whole-query constant spread over the `m` subQs so that the Λ = sum

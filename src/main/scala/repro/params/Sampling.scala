@@ -6,7 +6,7 @@ import scala.util.Random
   *
   * The paper collects training traces with Latin Hypercube Sampling [31] and
   * initializes HMOOC's `θc` candidates by random sampling or grid search
-  * (§5.1.1); all of those entry points live here so every consumer shares
+  * (§5.1.1; LHS here too); the samplers live here so every consumer shares
   * the same seeding discipline (reproducible in `seed`).
   */
 object Sampling {
@@ -22,12 +22,6 @@ object Sampling {
       perm.map(s => (s + rnd.nextDouble()) / n)
     }
     Vector.tabulate(n)(i => Vector.tabulate(dim)(d => cols(d)(i)))
-  }
-
-  /** `n` uniform random points in `[0,1]^dim`. */
-  def uniform(n: Int, dim: Int, seed: Long): Vector[Vector[Double]] = {
-    val rnd = new Random(seed)
-    Vector.fill(n)(Vector.fill(dim)(rnd.nextDouble()))
   }
 
   /** Full-factorial grid with `perDim` levels per dimension (use only for

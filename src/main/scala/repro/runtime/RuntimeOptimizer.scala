@@ -3,7 +3,7 @@ package repro.runtime
 import repro.cluster.{CostModel, RuntimeHooks}
 import repro.model.QueryModels
 import repro.params.{Sampling, SparkParams, ThetaP, ThetaS}
-import repro.workload.{QueryGraph, SubQ}
+import repro.workload.{JoinAlgo, QueryGraph, SubQ}
 
 /** The runtime optimizer — the AQE plugin of §5.2.
   *
@@ -83,16 +83,11 @@ final class RuntimeOptimizer(
   override def onQueryStage(
       sub: SubQ,
       inputMb: Double,
-      algo: Option[repro.workload.JoinAlgo],
+      algo: Option[JoinAlgo],
       current: ThetaS): ThetaS = {
     val t0 = System.nanoTime()
     qsCalls += 1
-    val algoCode = algo match {
-      case Some(repro.workload.JoinAlgo.BHJ) => 1
-      case Some(repro.workload.JoinAlgo.SHJ) => 2
-      case Some(repro.workload.JoinAlgo.SMJ) => 3
-      case None                              => 0
-    }
+    val algoCode = JoinAlgo.code(algo)
     val cands = current +: sCandidates
     val scored = cands.map { s =>
       val u = unitOf(currentP, s)

@@ -12,8 +12,8 @@ import repro.workload.QueryGraph
   * submission-time threshold avoids irreversible broadcasts of misestimated
   * build sides — and are lower-capped at the Spark defaults (10 MB / 0 MB)
   * so genuinely small scan-based sides still get broadcast. All other
-  * parameters are aggregated by input-bytes-weighted mean, biasing towards
-  * the choices made for the heaviest subQs.
+  * parameters, and the whole `θs` copy, are copied from the dominant subQ:
+  * the one reading the most input bytes.
   */
 object ThetaAggregator {
 

@@ -29,6 +29,16 @@ object JoinAlgo {
   case object SHJ extends JoinAlgo
   /** Sort-merge join — both sides shuffled and sorted. */
   case object SMJ extends JoinAlgo
+
+  /** The integer code under which traces and models see a stage's join
+    * algorithm: 0 none (not a join), 1 BHJ, 2 SHJ, 3 SMJ.
+    */
+  def code(algo: Option[JoinAlgo]): Int = algo match {
+    case None      => 0
+    case Some(BHJ) => 1
+    case Some(SHJ) => 2
+    case Some(SMJ) => 3
+  }
 }
 
 /** One subQ: the group of logical operators that becomes a query stage (QS)

@@ -31,7 +31,7 @@ object TraceGen {
       stageIo: Seq[Double],
       stageSiblings: Seq[Int],
       stageSiblingWork: Seq[Double],
-      stageAlgo: Seq[Int]) // 0 none, 1 BHJ, 2 SHJ, 3 SMJ
+      stageAlgo: Seq[Int]) // JoinAlgo.code
 
   /** Number of templates in a benchmark. */
   def numTemplates(bench: String): Int = bench match {
@@ -77,12 +77,7 @@ object TraceGen {
         stageIo = exec.stages.map(_.ioMb),
         stageSiblings = exec.stages.map(_.siblingCount),
         stageSiblingWork = exec.stages.map(_.siblingWorkSec),
-        stageAlgo = exec.stages.map(_.algo match {
-          case Some(JoinAlgo.BHJ) => 1
-          case Some(JoinAlgo.SHJ) => 2
-          case Some(JoinAlgo.SMJ) => 3
-          case None               => 0
-        }))
+        stageAlgo = exec.stages.map(s => JoinAlgo.code(s.algo)))
     }
   }
 }

@@ -178,6 +178,13 @@ class CostModelSpec extends AnyFunSuite {
     assert(fast.workCoreSec < slow.workCoreSec)
   }
 
+  test("cloud cost combines CPU, memory and IO prices") {
+    val cost = spec.costUsd(c, latSec = 3600.0, ioMb = 1024.0)
+    val expected = spec.cpuUsdPerCoreHour * c.totalCores +
+      spec.memUsdPerGbHour * c.totalMemGb + spec.ioUsdPerGb
+    assert(math.abs(cost - expected) < 1e-9)
+  }
+
   test("stageCost rejects mismatched inputs and read modes") {
     intercept[IllegalArgumentException] {
       CostModel.stageCost(spec, scanSub(), Vector(SideStats(1, 1)),

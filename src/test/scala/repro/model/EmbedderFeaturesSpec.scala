@@ -1,8 +1,10 @@
 package repro.model
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.params.{Configuration, SparkParams}
-import repro.workload.{OpType, TpchLite}
+import repro.TestProp.forAllSeeds
+import repro.cluster.Simulator
+import repro.params.{Configuration, SparkParams, ThetaP}
+import repro.workload.{JoinAlgo, OpType, TpchLite}
 
 /** The GTN-substitute embedder and the feature assembly of §4.3. */
 class EmbedderFeaturesSpec extends AnyFunSuite {
@@ -87,6 +89,22 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
     assert(Features.ruleAlgoCode(isJoin = true, buildMb = 1000.0, u) == 2) // 10MB/part <= 64
   }
 
+  test("ruleAlgoCode agrees with the simulator's join-selection rule") {
+    val sim = new Simulator()
+    forAllSeeds(500) { rnd =>
+      val u = Array.fill(SparkParams.dAll)(rnd.nextDouble())
+      val p = ThetaP.fromUnit(u.slice(SparkParams.dC, SparkParams.dC + SparkParams.dP).toVector)
+      // Log-uniform sizes across all three regimes, plus both thresholds exactly.
+      val b = rnd.nextInt(3) match {
+        case 0 => math.exp(rnd.nextDouble() * math.log(1e6)) - 1.0
+        case 1 => p.broadcastThresholdMb.toDouble
+        case _ => p.shuffledHashThresholdMb.toDouble * math.max(1, p.shufflePartitions)
+      }
+      assert(Features.ruleAlgoCode(isJoin = true, b, u) == JoinAlgo.code(Some(sim.chooseAlgo(b, p))),
+        s"build $b MB under $p")
+    }
+  }
+
   test("hints have the documented width and bounded entries") {
     val h = Features.hints(3, isScan = false, writesShuffle = true, 1000.0, unit)
     assert(h.length == Features.hintDim)
@@ -111,14 +129,5 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
     assert(!Features.writesShuffle(g, child, parentOf, _ => 1.0, unit))
     // Parent build huge -> SMJ -> child writes.
     assert(Features.writesShuffle(g, child, parentOf, _ => 1e6, unit))
-  }
-
-  test("cloud cost combines CPU, memory and IO prices") {
-    val spec = repro.cluster.ClusterSpec.default
-    val c = conf.c
-    val cost = Objectives.costUsd(spec, c, latSec = 3600.0, ioMb = 1024.0)
-    val expected = spec.cpuUsdPerCoreHour * c.totalCores +
-      spec.memUsdPerGbHour * c.totalMemGb + spec.ioUsdPerGb
-    assert(math.abs(cost - expected) < 1e-9)
   }
 }

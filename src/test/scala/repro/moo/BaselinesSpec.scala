@@ -5,7 +5,7 @@ import repro.cluster.ClusterSpec
 import repro.model.{QueryModels, TestModels}
 import repro.workload.TpchLite
 
-/** Invariants of the baseline solvers (MO-WS, Evo, PF, SO-FW). */
+/** Invariants of the query-level baselines (MO-WS and SO-FW). */
 class BaselinesSpec extends AnyFunSuite {
   private lazy val qm =
     new QueryModels(TpchLite.queries(2), TestModels.untrained(), ClusterSpec.default)
@@ -16,7 +16,7 @@ class BaselinesSpec extends AnyFunSuite {
     }
 
   test("MO-WS returns a small non-dominated front (poor WS coverage, Fig 4)") {
-    val r = Baselines.mooWs(qm, nSamples = 400, nWeights = 11, seed = 1)
+    val (r, _) = Baselines.wsAndSoFw(qm, Vector.empty, nSamples = 400, nWeights = 11, seed = 1)
     assert(r.front.nonEmpty)
     assert(r.front.size <= 11)
     assertNonDominated(r)
@@ -24,14 +24,16 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   test("MO-WS is deterministic in the seed") {
-    val a = Baselines.mooWs(qm, 300, 11, seed = 5)
-    val b = Baselines.mooWs(qm, 300, 11, seed = 5)
+    val prefs = Vector((0.9, 0.1))
+    val (a, soA) = Baselines.wsAndSoFw(qm, prefs, 300, 11, seed = 5)
+    val (b, soB) = Baselines.wsAndSoFw(qm, prefs, 300, 11, seed = 5)
     assert(a.front.map(s => (s.f1, s.f2)) == b.front.map(s => (s.f1, s.f2)))
+    assert(soA.map { case (w, s) => w -> (s.f1, s.f2) } == soB.map { case (w, s) => w -> (s.f1, s.f2) })
   }
 
   test("MO-WS solutions replicate one copy across all subQs (query-level)") {
-    val r = Baselines.mooWs(qm, 200, 5, seed = 2)
-    r.front.foreach { s =>
+    val (r, so) = Baselines.wsAndSoFw(qm, Vector((0.5, 0.5)), 200, 5, seed = 2)
+    (r.front ++ so.values).foreach { s =>
       val fc = s.payload
       assert(fc.m == qm.m)
       (1 until fc.m).foreach { i =>
@@ -40,55 +42,31 @@ class BaselinesSpec extends AnyFunSuite {
     }
   }
 
-  test("fine-grained MO-WS searches the d_c + m(d_p+d_s) space") {
-    val r = Baselines.mooWsFine(qm, nSamples = 200, nWeights = 5, seed = 3)
-    assertNonDominated(r)
-    // Copies genuinely differ across subQs in at least one solution.
-    assert(r.front.exists(s => (1 until s.payload.m).exists(i =>
-      s.payload.pU(i).toSeq != s.payload.pU(0).toSeq)))
-  }
-
-  test("Evo returns a non-dominated front within its evaluation budget") {
-    val r = Baselines.mooEvo(qm, popSize = 20, evalBudget = 60, seed = 4)
-    assert(r.front.nonEmpty)
-    assertNonDominated(r)
-  }
-
-  test("Evo is deterministic in the seed") {
-    val a = Baselines.mooEvo(qm, 16, 48, seed = 6)
-    val b = Baselines.mooEvo(qm, 16, 48, seed = 6)
-    assert(a.front.map(s => (s.f1, s.f2)) == b.front.map(s => (s.f1, s.f2)))
-  }
-
-  test("PF finds the two extremes and probes the middle") {
-    val r = Baselines.mooPf(qm, nProbeSamples = 200, maxProbes = 4, seed = 7)
-    assert(r.front.nonEmpty)
-    assertNonDominated(r)
-  }
-
   test("SO-FW returns exactly one solution") {
-    val r = Baselines.soFw(qm, (0.9, 0.1), nSamples = 300, seed = 8)
-    assert(r.front.size == 1)
+    val (_, so) = Baselines.wsAndSoFw(qm, Vector((0.9, 0.1)), nSamples = 300, seed = 8)
+    assert(so.keySet == Set((0.9, 0.1)))
   }
 
   test("SO-FW collapses most weight vectors onto the same pick (Fig 4)") {
-    val (sols, _) = Baselines.soFwBatch(qm,
+    val (_, sols) = Baselines.wsAndSoFw(qm,
       Vector((0.1, 0.9), (0.3, 0.7), (0.5, 0.5), (0.7, 0.3), (0.9, 0.1)),
       nSamples = 500, seed = 9)
     val distinct = sols.values.map(s => (s.f1, s.f2)).toSet
     assert(distinct.size <= 3, s"SO-FW produced ${distinct.size} distinct picks")
   }
 
-  test("wsAndSoFw matches the standalone solvers on the same seed") {
-    val (mows, soFw) = Baselines.wsAndSoFw(qm, Vector((0.9, 0.1)), nSamples = 300, nWeights = 7, seed = 10)
-    val mowsAlone = Baselines.mooWs(qm, 300, 7, seed = 10)
-    val soAlone = Baselines.soFw(qm, (0.9, 0.1), 300, seed = 10)
-    assert(mows.front.map(s => (s.f1, s.f2)) == mowsAlone.front.map(s => (s.f1, s.f2)))
-    assert((soFw((0.9, 0.1)).f1, soFw((0.9, 0.1)).f2) == (soAlone.front.head.f1, soAlone.front.head.f2))
+  test("SO-FW picks beat the same batch's MO-WS front on the raw weighted sum") {
+    val prefs = Vector((0.0, 1.0), (0.1, 0.9), (0.5, 0.5), (0.9, 0.1), (1.0, 0.0))
+    val (mows, soFw) = Baselines.wsAndSoFw(qm, prefs, nSamples = 300, nWeights = 7, seed = 10)
+    prefs.foreach { w =>
+      def raw(s: Pareto.Sol[FineConfig]): Double = w._1 * s.f1 + w._2 * s.f2
+      mows.front.foreach(s => assert(raw(soFw(w)) <= raw(s), s"at $w: ${soFw(w)} vs $s"))
+    }
   }
 
   test("recommendation from a single-point front is that point") {
-    val r = Baselines.soFw(qm, (0.5, 0.5), nSamples = 100, seed = 11)
+    val (_, so) = Baselines.wsAndSoFw(qm, Vector((0.5, 0.5)), nSamples = 100, seed = 11)
+    val r = MooResult(Vector(so((0.5, 0.5))), 0.1)
     assert(r.recommend((0.0, 1.0)) == r.front.head)
   }
 

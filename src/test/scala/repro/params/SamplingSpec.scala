@@ -31,12 +31,6 @@ class SamplingSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Sampling.latinHypercube(3, 0, 1))
   }
 
-  test("uniform produces points in the unit cube, deterministically") {
-    val a = Sampling.uniform(50, 4, 3)
-    assert(a.forall(_.forall(x => x >= 0 && x <= 1)))
-    assert(a == Sampling.uniform(50, 4, 3))
-  }
-
   test("grid enumerates perDim^dim midpoint levels") {
     val g = Sampling.grid(3, 2)
     assert(g.size == 9)
