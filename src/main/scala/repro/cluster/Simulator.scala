@@ -12,7 +12,6 @@ final case class StageExec(
     algo: Option[JoinAlgo],
     partitions: Int,
     analyticalSec: Double,
-    wallShareSec: Double,
     ioMb: Double,
     spillFactor: Double,
     siblingCount: Int,
@@ -72,35 +71,21 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
   def estOut(g: QueryGraph): Map[Int, SideStats] =
     g.subQs.map(s => s.id -> SideStats(s.estOutBytes, s.estOutRows)).toMap
 
-  /** Order a join's children as (probe, build) — build is the smaller side. */
-  def probeBuild(sub: SubQ, stats: Map[Int, SideStats]): (Int, Int) = {
-    val Vector(a, b) = sub.children
-    if (stats(a).bytes >= stats(b).bytes) (a, b) else (b, a)
-  }
-
-  /** The parametric join-selection rule: BHJ under `s4`, SHJ under `s3`
-    * (per-partition build size), else SMJ.
-    */
-  def chooseAlgo(buildMb: Double, p: ThetaP): JoinAlgo =
-    if (buildMb <= p.broadcastThresholdMb) JoinAlgo.BHJ
-    else if (buildMb / math.max(1, p.shufflePartitions) <= p.shuffledHashThresholdMb) JoinAlgo.SHJ
-    else JoinAlgo.SMJ
-
   /** Compile-time physical plan: one join algorithm per join stage, chosen
     * from *estimated* statistics under that subQ's `θp` copy.
     */
   def compilePlan(g: QueryGraph, thetaPFor: SubQ => ThetaP): Map[Int, JoinAlgo] = {
     val est = estOut(g)
     g.subQs.filter(_.isJoin).map { sub =>
-      val (_, build) = probeBuild(sub, est)
-      sub.id -> chooseAlgo(est(build).mb, thetaPFor(sub))
+      val (_, build) = g.probeBuild(sub, est(_).bytes)
+      sub.id -> JoinAlgo.choose(est(build).mb, thetaPFor(sub))
     }.toMap
   }
 
   /** Runtime upgrade rule: SMJ may become SHJ or BHJ; SHJ and BHJ stick. */
   def runtimeAlgo(compiled: JoinAlgo, trueBuildMb: Double, p: ThetaP): JoinAlgo =
     compiled match {
-      case JoinAlgo.SMJ => chooseAlgo(trueBuildMb, p)
+      case JoinAlgo.SMJ => JoinAlgo.choose(trueBuildMb, p)
       case other        => other
     }
 
@@ -134,13 +119,6 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
     val lv      = levels(g)
     val byLevel = g.subQs.groupBy(s => lv(s.id)).toVector.sortBy(_._1)
 
-    // A child skips its shuffle write iff its parent join was compiled BHJ
-    // (both sides: build is collected for broadcast, probe is pipelined).
-    val parentOf: Map[Int, Int] =
-      g.subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
-    def compiledBhjParent(id: Int): Boolean =
-      parentOf.get(id).exists(pid => compiled.get(pid).contains(JoinAlgo.BHJ))
-
     val rnd = if (noiseSeed >= 0) Some(new Random(noiseSeed)) else None
     def noise(): Double = rnd.map(r => math.exp(r.nextGaussian() * 0.06)).getOrElse(1.0)
 
@@ -167,7 +145,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
 
       val costs = subs.map { sub =>
         val algo = if (sub.isJoin) {
-          val (_, build) = probeBuild(sub, out)
+          val (_, build) = g.probeBuild(sub, out(_).bytes)
           val a = runtimeAlgo(compiled(sub.id), out(build).mb, thetaP)
           finalAlgos(sub.id) = a
           Some(a)
@@ -190,7 +168,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
           if (sub.isScan)
             (Vector(SideStats(sub.trueInputBytes, sub.trueInputRows)), Vector(ReadMode.Table: ReadMode))
           else if (sub.isJoin) {
-            val (probe, build) = probeBuild(sub, out)
+            val (probe, build) = g.probeBuild(sub, out(_).bytes)
             val probeMode: ReadMode =
               if (compiled.get(sub.id).contains(JoinAlgo.BHJ)) ReadMode.Pipelined
               else if (algo.contains(JoinAlgo.BHJ)) ReadMode.LocalShuffle
@@ -199,7 +177,8 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
           } else
             (sub.children.map(out), sub.children.map(_ => ReadMode.Shuffle: ReadMode))
 
-        val writes = parentOf.contains(sub.id) && !compiledBhjParent(sub.id)
+        // A child skips its shuffle write iff its parent join was compiled BHJ.
+        val writes = g.writesShuffle(sub.id, compiled.get)
         val cost = CostModel.stageCost(spec, sub, inputs, modes, algo, writes, c, thetaP, thetaS)
         val f = noise()
         (sub, cost.copy(workCoreSec = cost.workCoreSec * f, maxTaskSec = cost.maxTaskSec * f))
@@ -235,7 +214,6 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
           subQId = sub.id, level = level, algo = finalAlgos.get(sub.id),
           partitions = cost.partitions,
           analyticalSec = stageAnalytical(cost),
-          wallShareSec = levelWall * (cost.workCoreSec / math.max(1e-9, levelWork)),
           ioMb = cost.ioMb, spillFactor = cost.spillFactor,
           siblingCount = subs.size - 1,
           siblingWorkSec = levelWork - cost.workCoreSec)

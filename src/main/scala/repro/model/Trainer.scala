@@ -3,7 +3,7 @@ package repro.model
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import repro.cluster.ClusterSpec
-import repro.workload.{QueryGraph, TraceGen}
+import repro.workload.TraceGen
 
 /** Trains the subQ / QS / LQP models on simulator traces and reports the
   * Table 3 metrics on a held-out split.
@@ -60,69 +60,26 @@ object Trainer {
     val runs = TraceGen.traces(spark, bench, nRuns, seed, spec).collect()
     val embedder = new GraphEmbedder(seed = seed)
 
-    val graphCache = mutable.HashMap.empty[(Int, Long), QueryGraph]
-    def graph(t: Int, v: Long): QueryGraph =
-      graphCache.getOrElseUpdate((t, v), TraceGen.graphOf(bench, t, v))
-
     val subQRows = mutable.ArrayBuffer.empty[(Array[Double], Array[Double], Int)]
     val qsRows   = mutable.ArrayBuffer.empty[(Array[Double], Array[Double], Int)]
     val lqpRows  = mutable.ArrayBuffer.empty[(Array[Double], Array[Double], Int)]
 
     runs.foreach { run =>
-      val g = graph(run.template, run.variant)
+      val features = new PlanFeatures(TraceGen.graphOf(bench, run.template, run.variant), embedder)
       val conf = run.conf.toArray
       val bucket = math.abs((run.template * 31L + run.variant * 17L).hashCode) % 10
-      val parentOf: Map[Int, Int] = g.subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
-      def buildMbOf(id: Int): Double = {
-        val s = g.subQs(id)
-        if (s.isJoin) s.children.map(c => g.subQs(c).estOutBytes).min / 1048576.0 else 0.0
-      }
 
       run.stageIds.indices.foreach { k =>
-        val sub = g.subQs(run.stageIds(k))
+        val i = run.stageIds(k)
         val y = target(run.stageAnalytical(k), run.stageIo(k))
-
-        // subQ model: compile-time view (α_cbo, β=0, γ=0, full θ + hints).
-        val (estRows, estBytes) = PlanStats.estIn(g, sub)
-        val estBuildMb = buildMbOf(sub.id)
-        val estAlgo = Features.ruleAlgoCode(sub.isJoin, estBuildMb, conf)
-        val writes = Features.writesShuffle(g, sub.id, parentOf, buildMbOf, conf)
-        val subQx = Features.assemble(
-          embedder.embedSubQ(sub, estRows, estBytes),
-          Features.NonDecision(estBytes / 1048576.0, estRows,
-            sub.estOutBytes / 1048576.0, sub.estOutRows.toDouble, 0.0, 0.0, 0.0),
-          conf ++ Features.hints(estAlgo, sub.isScan, writes, estBytes / 1048576.0, conf))
-        subQRows += ((subQx, y, bucket))
-
-        // QS model: runtime view (true α, β, γ, physical algo; θp dropped).
-        val (tRows, tBytes) = PlanStats.trueIn(g, sub)
-        val qsX = Features.assemble(
-          embedder.embedSubQ(sub, tRows, tBytes),
-          Features.NonDecision(tBytes / 1048576.0, tRows,
-            sub.trueOutBytes / 1048576.0, sub.trueOutRows.toDouble, sub.skew - 1.0,
-            run.stageSiblings(k).toDouble, run.stageSiblingWork(k)),
-          Features.dropThetaP(conf) ++
-            Features.hints(run.stageAlgo(k), sub.isScan, writes, tBytes / 1048576.0, conf))
-        qsRows += ((qsX, y, bucket))
+        // subQ model: compile-time view. QS model: runtime view with the
+        // stage's physical join algorithm and its measured contention.
+        subQRows += ((features.subQ(i, conf), y, bucket))
+        qsRows += ((features.qs(i, conf, run.stageAlgo(k),
+          run.stageSiblings(k).toDouble, run.stageSiblingWork(k)), y, bucket))
       }
-
-      // LQP model: whole plan with true statistics, end-to-end latency.
-      // Mean-pooled embeddings normalize plan size away, so the subQ count
-      // rides along as an explicit feature next to the resource hints.
-      val sinks = g.sinks
-      val lqpX = Features.assemble(
-        embedder.embedGraph(g, s => (s.trueInputRows.toDouble, s.trueInputBytes.toDouble)),
-        Features.NonDecision(
-          g.totalScanBytes / 1048576.0,
-          g.subQs.filter(_.isScan).map(_.trueInputRows.toDouble).sum,
-          sinks.map(_.trueOutBytes.toDouble).sum / 1048576.0,
-          sinks.map(_.trueOutRows.toDouble).sum,
-          g.subQs.map(_.skew - 1.0).max, 0.0, 0.0),
-        conf ++
-          Features.hints(0, isScan = false, writesShuffle = false,
-            g.totalScanBytes / 1048576.0, conf) ++
-          Array(g.numSubQs / 50.0))
-      lqpRows += ((lqpX, target(run.wallSec, run.ioMb), bucket))
+      // LQP model: whole plan, end-to-end latency.
+      lqpRows += ((features.lqp(conf), target(run.wallSec, run.ioMb), bucket))
     }
 
     val subQSplit = buildSplit(subQRows.toSeq)

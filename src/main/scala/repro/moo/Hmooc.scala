@@ -59,16 +59,7 @@ object Hmooc {
     val kk = math.min(k, points.size)
     val rnd = new Random(seed)
     var centroids = rnd.shuffle(points).take(kk).map(_.clone())
-
-    def nearest(p: Array[Double]): Int =
-      centroids.indices.minBy { ci =>
-        val c = centroids(ci)
-        var d = 0.0; var j = 0
-        while (j < p.length) { val t = p(j) - c(j); d += t * t; j += 1 }
-        d
-      }
-
-    var assign = points.map(nearest)
+    var assign = points.map(nearest(centroids, _))
     for (_ <- 1 to iters) {
       centroids = centroids.indices.map { ci =>
         val members = points.indices.filter(assign(_) == ci)
@@ -79,10 +70,21 @@ object Hmooc {
           c
         }
       }.toVector
-      assign = points.map(nearest)
+      assign = points.map(nearest(centroids, _))
     }
     (centroids, assign)
   }
+
+  /** Index of the centroid nearest to `p` in squared Euclidean distance
+    * (the first one on a tie).
+    */
+  private def nearest(centroids: Vector[Array[Double]], p: Array[Double]): Int =
+    centroids.indices.minBy { ci =>
+      val c = centroids(ci)
+      var d = 0.0; var j = 0
+      while (j < p.length) { val t = p(j) - c(j); d += t * t; j += 1 }
+      d
+    }
 
   /** θc crossover enrichment (Appendix C.1): random single-point crossover
     * pairs over the existing population, keeping only unseen children.
@@ -108,10 +110,7 @@ object Hmooc {
   /** The Spark-default `θp ⊕ θs` values as a unit vector (always kept in the
     * pool so the search can fall back to stock behaviour).
     */
-  def defaultPoolEntry: Array[Double] =
-    (SparkParams.thetaPDefs.zip(ThetaP.default.toVector) ++
-      SparkParams.thetaSDefs.zip(ThetaS.default.toVector))
-      .map { case (d, v) => d.toUnit(v) }.toArray
+  def defaultPoolEntry: Array[Double] = (ThetaP.default.toUnit ++ ThetaS.default.toUnit).toArray
 
   // --------------------------------------------------------------------- //
 
@@ -133,14 +132,6 @@ object Hmooc {
       .map(u => Sampling.refine(u).toArray)
     val (reps, _) = kmeans(initC, s.nClusters, s.seed + 2)
 
-    def nearestRep(c: Array[Double]): Int =
-      reps.indices.minBy { ri =>
-        val r = reps(ri)
-        var d = 0.0; var j = 0
-        while (j < c.length) { val t = c(j) - r(j); d += t * t; j += 1 }
-        d
-      }
-
     // 2. Per-representative θp⊕θs MOO (optimize_p_moo): Pareto-optimal pool
     // indices per (rep, subQ) — Proposition 5.1 justifies keeping only these.
     val repOpt: Vector[Vector[Vector[Int]]] = reps.map { rep =>
@@ -161,7 +152,7 @@ object Hmooc {
     // θp⊕θs entries (the clustering hypothesis of §5.1.1).
     def assignOptP(cands: Vector[Array[Double]]): Vector[CandSols] =
       cands.map { cU =>
-        val r = nearestRep(cU)
+        val r = nearest(reps, cU)
         val cTheta = ThetaC.fromUnit(cU.toVector)
         CandSols(cU, Vector.tabulate(m) { i =>
           repOpt(r)(i).map { pi =>

@@ -121,6 +121,9 @@ final case class ThetaC(
     execCores.toDouble, execMemoryGb.toDouble, execInstances.toDouble,
     defaultParallelism.toDouble, maxSizeInFlightMb.toDouble, bypassMergeThreshold.toDouble,
     if (shuffleCompress) 1.0 else 0.0, memoryFraction)
+
+  /** Unit coordinates of this copy, the inverse of [[ThetaC.fromUnit]]. */
+  def toUnit: Vector[Double] = SparkParams.thetaCDefs.zip(toVector).map { case (d, v) => d.toUnit(v) }
 }
 
 object ThetaC {
@@ -164,6 +167,9 @@ final case class ThetaP(
     advisoryPartitionMb.toDouble, nonEmptyPartitionRatio, shuffledHashThresholdMb.toDouble,
     broadcastThresholdMb.toDouble, shufflePartitions.toDouble, skewedPartitionThresholdMb.toDouble,
     skewedPartitionFactor.toDouble, maxPartitionBytesMb.toDouble, openCostMb.toDouble)
+
+  /** Unit coordinates of this copy, the inverse of [[ThetaP.fromUnit]]. */
+  def toUnit: Vector[Double] = SparkParams.thetaPDefs.zip(toVector).map { case (d, v) => d.toUnit(v) }
 }
 
 object ThetaP {
@@ -193,6 +199,9 @@ object ThetaP {
 /** Query-stage parameters `θs` — one copy per query stage. */
 final case class ThetaS(smallPartitionFactor: Double, minPartitionSizeMb: Int) {
   def toVector: Vector[Double] = Vector(smallPartitionFactor, minPartitionSizeMb.toDouble)
+
+  /** Unit coordinates of this copy, the inverse of [[ThetaS.fromUnit]]. */
+  def toUnit: Vector[Double] = SparkParams.thetaSDefs.zip(toVector).map { case (d, v) => d.toUnit(v) }
 }
 
 object ThetaS {

@@ -44,12 +44,6 @@ final class RuntimeOptimizer(
   private val sCandidates: Vector[ThetaS] =
     ThetaS.default +: Sampling.grid(4, SparkParams.dS).map(u => ThetaS.fromUnit(u))
 
-  private def unitOf(p: ThetaP, s: ThetaS): Array[Double] = {
-    val pU = SparkParams.thetaPDefs.zip(p.toVector).map { case (d, v) => d.toUnit(v) }
-    val sU = SparkParams.thetaSDefs.zip(s.toVector).map { case (d, v) => d.toUnit(v) }
-    cU ++ pU ++ sU
-  }
-
   private val thetaC = repro.params.ThetaC.fromUnit(cU.toVector)
 
   // The most recent θp copy handed back to AQE — QS-level scoring uses it
@@ -65,7 +59,7 @@ final class RuntimeOptimizer(
     lqpCalls += 1
     val cands = current +: pCandidates
     val scored = cands.map { p =>
-      val u = unitOf(p, ThetaS.default)
+      val u = cU ++ p.toUnit ++ ThetaS.default.toUnit
       var lat = 0.0; var cost = 0.0
       readyJoins.foreach { j =>
         val (l, io) = qm.predictSubQTrue(j.id, u)
@@ -74,7 +68,7 @@ final class RuntimeOptimizer(
       }
       (p, lat, cost)
     }
-    val picked = pickPreferred(scored)
+    val picked = RuntimeOptimizer.pickPreferred(scored, pref)
     currentP = picked
     optTimeSec += (System.nanoTime() - t0) / 1e9
     picked
@@ -90,22 +84,25 @@ final class RuntimeOptimizer(
     val algoCode = JoinAlgo.code(algo)
     val cands = current +: sCandidates
     val scored = cands.map { s =>
-      val u = unitOf(currentP, s)
+      val u = cU ++ currentP.toUnit ++ s.toUnit
       val (l, io) = qm.predictQs(sub.id, u, algoCode, 0.0, 0.0)
       val (ll, cc) = qm.toObjectives(l, io, thetaC)
       (s, ll, cc)
     }
-    val picked = pickPreferred(scored)
+    val picked = RuntimeOptimizer.pickPreferred(scored, pref)
     optTimeSec += (System.nanoTime() - t0) / 1e9
     picked
   }
+}
+
+object RuntimeOptimizer {
 
   /** Preference-weighted pick over candidates, objectives normalized across
     * the candidate set (the WUN discipline applied to a point decision).
     * The incumbent copy (first element) is kept unless a challenger is
     * predicted at least ~8% better — hysteresis against model noise.
     */
-  private def pickPreferred[T](scored: Vector[(T, Double, Double)]): T = {
+  private[runtime] def pickPreferred[T](scored: Vector[(T, Double, Double)], pref: (Double, Double)): T = {
     val lmin = scored.map(_._2).min; val lr = math.max(1e-12, scored.map(_._2).max - lmin)
     val cmin = scored.map(_._3).min; val cr = math.max(1e-12, scored.map(_._3).max - cmin)
     def weighted(l: Double, c: Double): Double =

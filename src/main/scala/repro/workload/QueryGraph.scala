@@ -1,5 +1,7 @@
 package repro.workload
 
+import repro.params.ThetaP
+
 /** Logical operator kinds appearing inside a subQ.
   *
   * The paper (§4.3) encodes each operator one-hot by type; this enum is that
@@ -39,6 +41,16 @@ object JoinAlgo {
     case Some(SHJ) => 2
     case Some(SMJ) => 3
   }
+
+  /** The parametric join-selection rule: BHJ when the build side fits the
+    * broadcast threshold `s4`, SHJ when its per-partition size (over `s5`
+    * partitions) fits `s3`, else SMJ. The simulator plans with it and the
+    * model features encode it.
+    */
+  def choose(buildMb: Double, p: ThetaP): JoinAlgo =
+    if (buildMb <= p.broadcastThresholdMb) BHJ
+    else if (buildMb / math.max(1, p.shufflePartitions) <= p.shuffledHashThresholdMb) SHJ
+    else SMJ
 }
 
 /** One subQ: the group of logical operators that becomes a query stage (QS)
@@ -99,6 +111,24 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
     s"$name: children must precede parents (topological order)")
 
   def numSubQs: Int = subQs.size
+
+  /** The subQ that reads each subQ's output; sinks have none. */
+  lazy val parentOf: Map[Int, Int] = subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
+
+  /** Order a join's two children as (probe, build): the build side is the
+    * one with fewer `bytes` (the second child on a tie).
+    */
+  def probeBuild(join: SubQ, bytes: Int => Long): (Int, Int) = {
+    val Vector(a, b) = join.children
+    if (bytes(a) >= bytes(b)) (a, b) else (b, a)
+  }
+
+  /** Whether subQ `id` writes its output to a shuffle exchange, given each
+    * join's physical algorithm: it has a parent, and that parent is not a
+    * BHJ (which collects its build side and pipelines its probe side).
+    */
+  def writesShuffle(id: Int, algoOf: Int => Option[JoinAlgo]): Boolean =
+    parentOf.get(id).exists(pid => !algoOf(pid).contains(JoinAlgo.BHJ))
 
   /** SubQs no other subQ reads from (the result-producing stages). */
   def sinks: Vector[SubQ] = {

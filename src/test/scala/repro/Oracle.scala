@@ -2,6 +2,7 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
@@ -10,31 +11,51 @@ import org.apache.spark.sql.{DataFrame, Row}
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
   *
+  * Rows are sorted on typed column values. Integers compare exactly; any
+  * other number compares with a relative tolerance of 1e-9; everything else
+  * compares as text.
+  *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
+  /** A cell as compared: null, an exact integer, an approximate number, or text. */
+  private def cell(v: Any): Any = v match {
+    case null => null
+    case x @ (_: Byte | _: Short | _: Int | _: Long | _: java.math.BigInteger) => BigInt(x.toString)
+    case x: Number => x.doubleValue // Float, Double, BigDecimal
+    case x => x.toString
+  }
+
+  /** Nulls first; a column holds one kind of cell on each side. */
+  private val cellOrdering: Ordering[Any] = (a, b) => (a, b) match {
+    case (null, null)           => 0
+    case (null, _)              => -1
+    case (_, null)              => 1
+    case (x: BigInt, y: BigInt) => x.compare(y)
+    case (x: Number, y: Number) => java.lang.Double.compare(x.doubleValue, y.doubleValue)
+    case (x, y)                 => x.toString.compareTo(y.toString)
+  }
+
+  private def sameCell(a: Any, b: Any): Boolean = (a, b) match {
+    case (_: BigInt, _: BigInt) => a == b
+    case (x: Number, y: Number) =>
+      val (u, v) = (x.doubleValue, y.doubleValue)
+      u == v || (u.isNaN && v.isNaN) ||
+        math.abs(u - v) <= 1e-9 * math.max(1.0, math.max(math.abs(u), math.abs(v)))
+    case _ => a == b
+  }
+
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Any]] = {
+    val idx = cols.sorted.map(cols.indexOf)
+    rows.map(r => idx.map(i => cell(r.get(i)))).sorted(Ordering.Implicits.seqOrdering[Seq, Any](cellOrdering))
   }
 
   /** Map a Spark column type to the DuckDB DDL type, so typed predicates
     * (dates, numerics) bind identically on both engines. Values are still
-    * inserted as strings; DuckDB casts them into the declared column type.
+    * appended as strings; DuckDB casts them into the declared column type.
     */
   private def duckType(dt: org.apache.spark.sql.types.DataType): String = {
     import org.apache.spark.sql.types._
@@ -61,14 +82,12 @@ object Oracle {
           s"CREATE TABLE $name (${cols.zip(types).map { case (c, t) => s"$c $t" }.mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        val app = conn.unwrap(classOf[DuckDBConnection]).createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
@@ -85,10 +104,10 @@ object Oracle {
       )
       val got = canon(sparkDf.collect().toSeq, sCols)
       val exp = canon(dRows, dCols)
-      require(got == exp,
+      val differing = got.zip(exp).filterNot { case (a, b) => a.corresponds(b)(sameCell) }
+      require(got.size == exp.size && differing.isEmpty,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
+        s"  first differing (spark, duckdb) rows: ${differing.take(3)}"
       )
     } finally conn.close()
   }

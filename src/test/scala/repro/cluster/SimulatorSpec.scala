@@ -64,9 +64,9 @@ class SimulatorSpec extends AnyFunSuite {
   test("chooseAlgo follows the s4/s3 thresholds") {
     val p = ThetaP.default.copy(broadcastThresholdMb = 10,
       shuffledHashThresholdMb = 2, shufflePartitions = 100)
-    assert(sim.chooseAlgo(8.0, p) == JoinAlgo.BHJ)
-    assert(sim.chooseAlgo(150.0, p) == JoinAlgo.SHJ) // 1.5MB per partition <= 2
-    assert(sim.chooseAlgo(5000.0, p) == JoinAlgo.SMJ)
+    assert(JoinAlgo.choose(8.0, p) == JoinAlgo.BHJ)
+    assert(JoinAlgo.choose(150.0, p) == JoinAlgo.SHJ) // 1.5MB per partition <= 2
+    assert(JoinAlgo.choose(5000.0, p) == JoinAlgo.SMJ)
   }
 
   test("compilePlan decides every join from estimated statistics") {
@@ -135,7 +135,7 @@ class SimulatorSpec extends AnyFunSuite {
   test("probeBuild puts the smaller side last (build)") {
     val out = sim.trueOut(q3)
     q3.subQs.filter(_.isJoin).foreach { j =>
-      val (probe, build) = sim.probeBuild(j, out)
+      val (probe, build) = q3.probeBuild(j, out(_).bytes)
       assert(out(build).bytes <= out(probe).bytes)
     }
   }

@@ -1,17 +1,16 @@
 package repro.model
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestProp.forAllSeeds
 import repro.cluster.Simulator
-import repro.params.{Configuration, SparkParams, ThetaP}
+import repro.params.{Configuration, SparkParams}
 import repro.workload.{JoinAlgo, OpType, TpchLite}
 
-/** The GTN-substitute embedder and the feature assembly of §4.3. */
+/** The GTN-substitute embedder and the featurizer of §4.3. */
 class EmbedderFeaturesSpec extends AnyFunSuite {
   private val emb = new GraphEmbedder()
   private val g = TpchLite.queries(2)
   private val conf = Configuration.default
-  private val unit = Features.unitAll(conf.toVector)
+  private val unit = (conf.c.toUnit ++ conf.p.toUnit ++ conf.s.toUnit).toArray
 
   test("embedding width is 2x the hidden dimension (mean ⊕ max pooling)") {
     assert(emb.outDim == 24)
@@ -56,52 +55,61 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
 
   // ---- feature assembly -------------------------------------------------
 
-  test("unitAll maps the default configuration into [0,1]^19") {
+  test("toUnit maps the default configuration into [0,1]^19") {
     assert(unit.length == SparkParams.dAll)
     assert(unit.forall(x => x >= 0.0 && x <= 1.0))
+    assert(Configuration.fromUnit(unit.toIndexedSeq) == conf)
   }
+
+  private val features = new PlanFeatures(g, emb)
+  private val join = g.subQs.find(_.isJoin).get
 
   test("assemble concatenates embedding, non-decision and θ blocks") {
-    val nd = Features.NonDecision(100, 1000, 50, 500, 0.5, 2, 10)
-    val x = Features.assemble(Array(1.0, 2.0), nd, Array(9.0))
-    assert(x.length == 2 + Features.ndDim + 1)
-    assert(x(0) == 1.0 && x(1) == 2.0 && x.last == 9.0)
+    // A scan's compile-time input is its table, so every block is known here.
+    val scan = g.subQs.find(_.isScan).get
+    val (rows, bytes) = (scan.trueInputRows.toDouble, scan.trueInputBytes.toDouble)
+    val expected = Array.concat(
+      emb.embedSubQ(scan, rows, bytes),
+      Features.nonDecision(bytes / 1048576.0, rows, scan.estOutBytes / 1048576.0,
+        scan.estOutRows.toDouble, 0.0, 0.0, 0.0),
+      unit)
+    val x = features.subQ(scan.id, unit)
+    assert(x.length == expected.length + Features.hintDim)
+    assert(x.take(expected.length).toSeq == expected.toSeq)
   }
 
-  test("dropThetaP removes exactly the 9 θp coordinates") {
-    val dropped = Features.dropThetaP(unit)
-    assert(dropped.length == SparkParams.dC + SparkParams.dS)
-    assert(dropped.take(SparkParams.dC).toSeq == unit.take(SparkParams.dC).toSeq)
-    assert(dropped.drop(SparkParams.dC).toSeq == unit.drop(SparkParams.dC + SparkParams.dP).toSeq)
+  test("the subQ views lay out embedding, non-decision, all 19 θ and the hints") {
+    for (x <- Seq(features.subQ(join.id, unit), features.subQTrue(join.id, unit))) {
+      assert(x.length == emb.outDim + Features.ndDim + SparkParams.dAll + Features.hintDim)
+      assert(x.slice(emb.outDim + Features.ndDim, x.length - Features.hintDim).toSeq == unit.toSeq)
+    }
+    // Compile time sees CBO estimates and β = γ = 0; runtime sees the truth.
+    val nd = features.subQ(join.id, unit).slice(emb.outDim, emb.outDim + Features.ndDim)
+    assert(nd.drop(4).forall(_ == 0.0))
+    assert(g.subQs.exists(s => features.subQ(s.id, unit).toSeq != features.subQTrue(s.id, unit).toSeq))
   }
 
-  test("ruleAlgoCode matches the parametric join-selection rule") {
-    // Default θp: s4 = 10MB, s3 = 0, s5 = 200.
-    assert(Features.ruleAlgoCode(isJoin = true, buildMb = 5.0, unit) == 1)   // BHJ
-    assert(Features.ruleAlgoCode(isJoin = true, buildMb = 5000.0, unit) == 3) // SMJ
-    assert(Features.ruleAlgoCode(isJoin = false, buildMb = 5.0, unit) == 0)
+  test("the QS view drops exactly the 9 θp coordinates and carries γ") {
+    val x = features.qs(join.id, unit, 3, 2.0, 10.0)
+    val theta = x.slice(emb.outDim + Features.ndDim, x.length - Features.hintDim)
+    assert(x.length == emb.outDim + Features.ndDim + SparkParams.dC + SparkParams.dS + Features.hintDim)
+    assert(theta.toSeq == (unit.take(SparkParams.dC) ++ unit.drop(SparkParams.dC + SparkParams.dP)).toSeq)
+    assert(x(emb.outDim + 5) == 0.2)
+    // Without contention, the QS prefix is the runtime subQ view's.
+    val prefix = emb.outDim + Features.ndDim
+    assert(features.qs(join.id, unit, 3, 0.0, 0.0).take(prefix).toSeq ==
+      features.subQTrue(join.id, unit).take(prefix).toSeq)
   }
 
-  test("ruleAlgoCode selects SHJ between the thresholds") {
-    val p = conf.p.copy(broadcastThresholdMb = 0, shuffledHashThresholdMb = 64,
-      shufflePartitions = 100)
-    val u = Features.unitAll(Configuration(conf.c, p, conf.s).toVector)
-    assert(Features.ruleAlgoCode(isJoin = true, buildMb = 1000.0, u) == 2) // 10MB/part <= 64
-  }
-
-  test("ruleAlgoCode agrees with the simulator's join-selection rule") {
+  test("the subQ views one-hot the join algorithm the simulator would plan") {
     val sim = new Simulator()
-    forAllSeeds(500) { rnd =>
-      val u = Array.fill(SparkParams.dAll)(rnd.nextDouble())
-      val p = ThetaP.fromUnit(u.slice(SparkParams.dC, SparkParams.dC + SparkParams.dP).toVector)
-      // Log-uniform sizes across all three regimes, plus both thresholds exactly.
-      val b = rnd.nextInt(3) match {
-        case 0 => math.exp(rnd.nextDouble() * math.log(1e6)) - 1.0
-        case 1 => p.broadcastThresholdMb.toDouble
-        case _ => p.shuffledHashThresholdMb.toDouble * math.max(1, p.shufflePartitions)
+    for (u <- Seq(unit, Array.fill(SparkParams.dAll)(0.9), Array.fill(SparkParams.dAll)(0.1))) {
+      val c = Configuration.fromUnit(u.toIndexedSeq)
+      val compiled = sim.compilePlan(g, _ => c.p)
+      g.subQs.foreach { s =>
+        val oneHot = features.subQ(s.id, u).takeRight(Features.hintDim).take(3).toSeq
+        assert(oneHot.indexOf(1.0) + 1 == JoinAlgo.code(compiled.get(s.id)), s"subQ ${s.id}")
       }
-      assert(Features.ruleAlgoCode(isJoin = true, b, u) == JoinAlgo.code(Some(sim.chooseAlgo(b, p))),
-        s"build $b MB under $p")
     }
   }
 
@@ -120,14 +128,14 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
   }
 
   test("writesShuffle: sinks never write, BHJ parents suppress writes") {
-    val parentOf = g.subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
     val sink = g.sinks.head
-    assert(!Features.writesShuffle(g, sink.id, parentOf, _ => 0.0, unit))
-    val join = g.subQs.find(_.isJoin).get
+    assert(!g.writesShuffle(sink.id, _ => None))
     val child = join.children.head
-    // Parent build tiny -> rule says BHJ -> child skips its write.
-    assert(!Features.writesShuffle(g, child, parentOf, _ => 1.0, unit))
-    // Parent build huge -> SMJ -> child writes.
-    assert(Features.writesShuffle(g, child, parentOf, _ => 1e6, unit))
+    assert(!g.writesShuffle(child, _ => Some(JoinAlgo.BHJ)))
+    assert(g.writesShuffle(child, _ => Some(JoinAlgo.SMJ)))
+    // The featurizer plans the parent with the rule: a zero broadcast
+    // threshold (and SHJ off by default) makes it SMJ, so the child writes.
+    val noBroadcast = (conf.c.toUnit ++ conf.p.copy(broadcastThresholdMb = 0).toUnit ++ conf.s.toUnit).toArray
+    assert(features.subQ(child, noBroadcast).last == 1.0)
   }
 }

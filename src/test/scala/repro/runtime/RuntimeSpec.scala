@@ -101,15 +101,29 @@ class RuntimeSpec extends AnyFunSuite {
     assert(run() == run())
   }
 
+  // ---- the pick rule: (candidate, latency, cost), incumbent first --------
+
+  private def pick(pref: (Double, Double), scored: (String, Double, Double)*): String =
+    RuntimeOptimizer.pickPreferred(scored.toVector, pref)
+
   test("the hysteresis keeps the incumbent when differences are small") {
-    val sim = new Simulator()
-    val qm = new QueryModels(g, TestModels.untrained(), ClusterSpec.default)
-    val opt = new RuntimeOptimizer(qm, Array.fill(SparkParams.dC)(0.5), (0.9, 0.1))
-    val current = ThetaP.default
-    val out = opt.onCollapsedPlan(g, g.subQs.filter(_.isJoin).take(1),
-      sim.trueOut(g), current)
-    // Either the incumbent was kept or a strictly different copy was chosen
-    // — both acceptable; the call must return a member of the scored set.
-    assert(out != null)
+    // Normalized scores: incumbent 0.05/10.05 ≈ 0.005, best 0: inside the
+    // margin of 0.08 · max(score, 0.1) = 0.008.
+    assert(pick((1.0, 0.0), ("incumbent", 10.0, 1.0), ("better", 9.95, 1.0), ("worst", 20.0, 1.0)) ==
+      "incumbent")
+  }
+
+  test("the hysteresis replaces the incumbent beyond the margin") {
+    // Incumbent 1/11 ≈ 0.091 above the best: beyond the 0.008 margin.
+    assert(pick((1.0, 0.0), ("incumbent", 10.0, 1.0), ("better", 9.0, 1.0), ("worst", 20.0, 1.0)) ==
+      "better")
+  }
+
+  test("preference (1, 0) picks the minimum latency") {
+    assert(pick((1.0, 0.0), ("incumbent", 30.0, 1.0), ("fast", 10.0, 5.0), ("cheap", 20.0, 0.5)) == "fast")
+  }
+
+  test("preference (0, 1) picks the minimum cost") {
+    assert(pick((0.0, 1.0), ("incumbent", 30.0, 1.0), ("fast", 10.0, 5.0), ("cheap", 20.0, 0.5)) == "cheap")
   }
 }
