@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.Table3Harness
+import repro.harness.{ExperimentContext, Table3Harness}
 
 /** Bench reproducing Table 3 (model performance with graph+regressor).
   *
@@ -14,23 +14,21 @@ class Table3Bench extends SparkSpec {
 
   Seq("tpch", "tpcds").foreach { bench =>
     test(s"Table 3 [$bench]: model performance") {
-      val rows = Table3Harness.rows(spark, bench)
-      println(Table3Harness.format(rows))
+      val report = ExperimentContext.forBench(spark, bench).report
+      println(Table3Harness.format(bench, report))
 
-      rows.foreach { r =>
-        assert(r.latWmape < 0.50, s"${r.bench}/${r.target} latency WMAPE ${r.latWmape}")
+      Table3Harness.targets(report).foreach { case (target, t) =>
+        assert(t.latency.wmape < 0.50, s"$bench/$target latency WMAPE ${t.latency.wmape}")
         // The compile-time subQ model is blind to skew by design (β=0,
         // §4.3), which caps its correlation on the skew-heavy TPC-DS mix.
-        assert(r.latCorr > 0.55, s"${r.bench}/${r.target} latency corr ${r.latCorr}")
-        assert(r.ioCorr > 0.70, s"${r.bench}/${r.target} IO corr ${r.ioCorr}")
-        assert(r.xputKps > 10, s"${r.bench}/${r.target} throughput ${r.xputKps}K/s")
+        assert(t.latency.corr > 0.55, s"$bench/$target latency corr ${t.latency.corr}")
+        assert(t.io.corr > 0.70, s"$bench/$target IO corr ${t.io.corr}")
+        assert(t.xputKps > 10, s"$bench/$target throughput ${t.xputKps}K/s")
       }
       // Expt 2 shape: the runtime QS model predicts IO better than the
       // compile-time subQ model (true input sizes vs CBO estimates).
-      val subQ = rows.find(_.target == "subQ").get
-      val qs = rows.find(_.target == "QS").get
-      assert(qs.ioWmape <= subQ.ioWmape + 0.05,
-        s"QS IO ${qs.ioWmape} should beat subQ IO ${subQ.ioWmape}")
+      assert(report.qs.io.wmape <= report.subQ.io.wmape + 0.05,
+        s"QS IO ${report.qs.io.wmape} should beat subQ IO ${report.subQ.io.wmape}")
     }
   }
 }

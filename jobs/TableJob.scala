@@ -1,7 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.harness.{Table3Harness, Table4Harness, Table5Harness}
+import repro.harness.{ExperimentContext, Table3Harness, Table4Harness, Table5Harness}
+import repro.workload.WorkloadGen
 
 /** spark-submit entrypoint reproducing one evaluation table: 3 (model
   * performance), 4 (latency reduction under a strong speed preference,
@@ -9,14 +10,23 @@ import repro.harness.{Table3Harness, Table4Harness, Table5Harness}
   * Usage: TableJob <3|4|5> [tpch|tpcds|both]
   */
 object TableJob {
-  def main(args: Array[String]): Unit = {
-    val usage = "usage: TableJob <3|4|5> [tpch|tpcds|both]"
+
+  /** The table number and benchmarks named by `args`; a bad table number or
+    * an unknown benchmark fails here, before Spark starts.
+    */
+  def parse(args: Array[String]): (String, Seq[String]) = {
     val table = args.headOption.getOrElse("")
-    require(Set("3", "4", "5").contains(table), usage)
+    require(Set("3", "4", "5").contains(table), "usage: TableJob <3|4|5> [tpch|tpcds|both]")
     val benches = args.lift(1).getOrElse("both") match {
       case "both" => Seq("tpch", "tpcds")
       case b      => Seq(b)
     }
+    benches.foreach(WorkloadGen.templates)
+    (table, benches)
+  }
+
+  def main(args: Array[String]): Unit = {
+    val (table, benches) = parse(args)
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"repro-table$table")
@@ -25,7 +35,7 @@ object TableJob {
     spark.sparkContext.setLogLevel("WARN")
     benches.foreach { b =>
       table match {
-        case "3" => println(Table3Harness.format(Table3Harness.rows(spark, b)))
+        case "3" => println(Table3Harness.format(b, ExperimentContext.forBench(spark, b).report))
         case "4" =>
           val r = Table4Harness.run(spark, b)
           println(Table4Harness.format(r))

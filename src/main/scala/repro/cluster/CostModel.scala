@@ -67,7 +67,7 @@ object CostModel {
   /** Post-shuffle partition count: pre-AQE `s5`, coalesced towards the
     * advisory size `s1`, kept above the θs minimum partition size.
     */
-  def shufflePartitions(inputMb: Double, c: ThetaC, p: ThetaP, s: ThetaS): Int = {
+  def shufflePartitions(inputMb: Double, p: ThetaP, s: ThetaS): Int = {
     val preAqe   = p.shufflePartitions
     val advisory = math.max(1, math.ceil(inputMb / p.advisoryPartitionMb).toInt)
     val coalesced = math.min(preAqe, advisory)
@@ -158,7 +158,7 @@ object CostModel {
       case Some(JoinAlgo.BHJ) if readModes.head == ReadMode.Pipelined =>
         scanPartitions(inputs.head.mb, p) // pipelined with the probe child
       case _ if sub.isScan => scanPartitions(totalInMb, p)
-      case _               => shufflePartitions(totalInMb, c, p, s)
+      case _               => shufflePartitions(totalInMb, p, s)
     }
 
     var workSec = 0.0

@@ -8,12 +8,9 @@ import repro.cluster.CostModel.{ReadMode, SideStats}
 /** Execution record of one stage. */
 final case class StageExec(
     subQId: Int,
-    level: Int,
     algo: Option[JoinAlgo],
-    partitions: Int,
     analyticalSec: Double,
     ioMb: Double,
-    spillFactor: Double,
     siblingCount: Int,
     siblingWorkSec: Double)
 
@@ -29,9 +26,7 @@ final case class QueryExec(
     lqpRequestsSent: Int,
     qsRequestsNaive: Int,
     qsRequestsSent: Int,
-    joinAlgos: Map[Int, JoinAlgo]) {
-  def ioGb: Double = ioMb / 1024.0
-}
+    joinAlgos: Map[Int, JoinAlgo])
 
 /** Runtime-optimization hook points — the two request types of Fig 2.
   *
@@ -131,7 +126,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
     val stageExecs = Vector.newBuilder[StageExec]
     val finalAlgos = collection.mutable.Map[Int, JoinAlgo]()
 
-    byLevel.foreach { case (level, subs) =>
+    byLevel.foreach { case (_, subs) =>
       // --- Collapsed-plan (LQP) optimization request, with pruning rules:
       // only when this level plans a join (skip non-join re-optimizations)
       // and all the joins' input statistics are available (true here, since
@@ -211,10 +206,9 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
 
       costs.foreach { case (sub, cost) =>
         stageExecs += StageExec(
-          subQId = sub.id, level = level, algo = finalAlgos.get(sub.id),
-          partitions = cost.partitions,
+          subQId = sub.id, algo = finalAlgos.get(sub.id),
           analyticalSec = stageAnalytical(cost),
-          ioMb = cost.ioMb, spillFactor = cost.spillFactor,
+          ioMb = cost.ioMb,
           siblingCount = subs.size - 1,
           siblingWorkSec = levelWork - cost.workCoreSec)
       }

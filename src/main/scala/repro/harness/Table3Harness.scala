@@ -1,7 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.SparkSession
-import repro.model.Trainer
+import repro.model.Trainer.{ModelReport, TargetMetrics}
 
 /** Table 3 — model performance with the graph-embedder + regressor: WMAPE,
   * P50, P90, Pearson correlation for latency and IO, plus inference
@@ -9,31 +8,16 @@ import repro.model.Trainer
   */
 object Table3Harness {
 
-  final case class Row(
-      bench: String,
-      target: String,
-      latWmape: Double, latP50: Double, latP90: Double, latCorr: Double,
-      ioWmape: Double, ioP50: Double, ioP90: Double, ioCorr: Double,
-      xputKps: Double)
+  /** The report's three targets in table order, with their row labels. */
+  def targets(r: ModelReport): Vector[(String, TargetMetrics)] =
+    Vector("subQ" -> r.subQ, "QS" -> r.qs, "LQP" -> r.lqp)
 
-  def rows(spark: SparkSession, bench: String): Vector[Row] = {
-    val ctx = ExperimentContext.forBench(spark, bench)
-    def row(target: String, t: Trainer.TargetMetrics): Row = Row(
-      bench, target,
-      t.latency.wmape, t.latency.p50, t.latency.p90, t.latency.corr,
-      t.io.wmape, t.io.p50, t.io.p90, t.io.corr,
-      t.xputKps)
-    Vector(
-      row("subQ", ctx.report.subQ),
-      row("QS", ctx.report.qs),
-      row("LQP", ctx.report.lqp))
-  }
-
-  def format(rs: Vector[Row]): String = {
+  def format(bench: String, r: ModelReport): String = {
     val header = f"${"bench"}%-7s ${"target"}%-5s | ${"WMAPE"}%7s ${"P50"}%7s ${"P90"}%7s ${"Corr"}%5s | ${"WMAPE"}%7s ${"P50"}%7s ${"P90"}%7s ${"Corr"}%5s | ${"Xput K/s"}%8s"
-    val lines = rs.map { r =>
-      f"${r.bench}%-7s ${r.target}%-5s | ${r.latWmape}%7.3f ${r.latP50}%7.3f ${r.latP90}%7.3f ${r.latCorr}%5.2f | " +
-        f"${r.ioWmape}%7.3f ${r.ioP50}%7.3f ${r.ioP90}%7.3f ${r.ioCorr}%5.2f | ${r.xputKps}%8.0f"
+    val lines = targets(r).map { case (target, t) =>
+      val (l, io) = (t.latency, t.io)
+      f"$bench%-7s $target%-5s | ${l.wmape}%7.3f ${l.p50}%7.3f ${l.p90}%7.3f ${l.corr}%5.2f | " +
+        f"${io.wmape}%7.3f ${io.p50}%7.3f ${io.p90}%7.3f ${io.corr}%5.2f | ${t.xputKps}%8.0f"
     }
     (("          (latency)                        (IO)" +: header +: lines): Vector[String]).mkString("\n")
   }

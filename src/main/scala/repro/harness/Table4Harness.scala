@@ -48,23 +48,18 @@ object Table4Harness {
     val ctx  = ExperimentContext.forBench(spark, bench)
     val pref = Calibration.speedPref
 
-    val perQuery = ctx.queries.map { g =>
-      val seed = ctx.noiseSeed(g)
-      val defExec = ctx.defaultExec(g)
-
-      val mows = ctx.mows(g)
-      val mowsExec = ctx.sim.runStatic(g, mows.recommend(pref).payload.asQueryLevel, seed)
-
-      val hm = ctx.hmooc(g)
-      val fc = hm.recommend(pref).payload
-      val h3Exec = Tuners.runCompileTime(ctx.sim, g, fc, seed)
-      val (h3pExec, opt) = Tuners.runHybrid(ctx.sim, g, ctx.qm(g), fc, pref, seed)
+    val perQuery = ctx.queries.map { q =>
+      val defExec = q.defaultExec
+      val mowsExec = q.run(q.mows.recommend(pref).payload.asQueryLevel)
+      val fc = q.hmooc.recommend(pref).payload
+      val (h3Exec, _) = q.deploy(fc, runtimePref = None)
+      val (h3pExec, optSec) = q.deploy(fc, runtimePref = Some(pref))
 
       PerQuery(
-        g.name, defExec.wallSec,
-        mowsExec.wallSec, mows.solveTimeSec,
-        h3Exec.wallSec, hm.solveTimeSec,
-        h3pExec.wallSec, hm.solveTimeSec + opt.optTimeSec)
+        q.g.name, defExec.wallSec,
+        mowsExec.wallSec, q.mows.solveTimeSec,
+        h3Exec.wallSec, q.hmooc.solveTimeSec,
+        h3pExec.wallSec, q.hmooc.solveTimeSec + optSec)
     }
     Result(bench, perQuery)
   }

@@ -20,16 +20,14 @@ object Table5Harness {
 
     val rows = Calibration.table5Prefs.map { pref =>
       var sLat = 0.0; var sCost = 0.0; var hLat = 0.0; var hCost = 0.0
-      ctx.queries.foreach { g =>
-        val seed = ctx.noiseSeed(g)
-        val defExec = ctx.defaultExec(g)
+      ctx.queries.foreach { q =>
+        val defExec = q.defaultExec
 
-        val soExec = ctx.sim.runStatic(g, ctx.soFw(g)(pref).payload.asQueryLevel, seed)
+        val soExec = q.run(q.soFw(pref).payload.asQueryLevel)
         sLat += soExec.wallSec / defExec.wallSec - 1.0
         sCost += soExec.costUsd / defExec.costUsd - 1.0
 
-        val fc = ctx.hmooc(g).recommend(pref).payload
-        val (hExec, _) = Tuners.runHybrid(ctx.sim, g, ctx.qm(g), fc, pref, seed)
+        val (hExec, _) = q.deploy(q.hmooc.recommend(pref).payload, runtimePref = Some(pref))
         hLat += hExec.wallSec / defExec.wallSec - 1.0
         hCost += hExec.costUsd / defExec.costUsd - 1.0
       }

@@ -64,7 +64,7 @@ object Features {
     val Configuration(c, p, s) = conf
     val partitions =
       if (isScan) CostModel.scanPartitions(inMb, p)
-      else CostModel.shufflePartitions(inMb, c, p, s)
+      else CostModel.shufflePartitions(inMb, p, s)
     val spillRisk = math.log1p(inMb / partitions / c.taskMemoryMb)
     val h = new Array[Double](hintDim)
     if (algoCode >= 1 && algoCode <= 3) h(algoCode - 1) = 1.0

@@ -19,7 +19,10 @@ import repro.workload.{OpType, QueryGraph, SubQ}
   * embed once per (sub)plan and re-score many configurations through the
   * cheap regressor head, which is what makes HMOOC's per-subQ search fast.
   */
-final class GraphEmbedder(val dim: Int = 12, rounds: Int = 2, seed: Long = 7L) extends Serializable {
+final class GraphEmbedder(seed: Long = 7L) extends Serializable {
+
+  private val dim = 12   // hidden width per node
+  private val rounds = 2 // child→parent message-passing rounds
 
   private val inDim = OpType.vocabSize + 3 // one-hot ⊕ log rows ⊕ log bytes ⊕ depth
   private val rnd = new Random(seed)

@@ -135,12 +135,13 @@ final class Mlp(val sizes: Array[Int], seed: Long) extends Serializable {
     loss / xs.length
   }
 
-  /** Train with mini-batch Adam; returns the final epoch's mean MSE. */
+  /** Train with mini-batch Adam (batches of 64); returns the final epoch's
+    * mean MSE.
+    */
   def train(
       xs: Array[Array[Double]],
       ys: Array[Array[Double]],
       epochs: Int,
-      batchSize: Int = 64,
       lr: Double = 1e-3): Double = {
     require(xs.length == ys.length && xs.nonEmpty, "empty or mismatched training set")
     val order = xs.indices.toArray
@@ -159,7 +160,7 @@ final class Mlp(val sizes: Array[Int], seed: Long) extends Serializable {
       var lossSum = 0.0; var batches = 0
       var start = 0
       while (start < order.length) {
-        val end = math.min(order.length, start + batchSize)
+        val end = math.min(order.length, start + 64)
         val bx = Array.tabulate(end - start)(k => xs(order(start + k)))
         val by = Array.tabulate(end - start)(k => ys(order(start + k)))
         lossSum += step(bx, by, lrNow)

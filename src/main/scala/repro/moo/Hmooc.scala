@@ -35,7 +35,6 @@ object Hmooc {
       nClusters: Int = 16,
       nPool: Int = 224,
       nEnrich: Int = 48,
-      nWsWeights: Int = 11,
       aggregation: Aggregation = Boundary,
       seed: Long = 17L)
 
@@ -51,16 +50,17 @@ object Hmooc {
   // --------------------------------------------------------------------- //
 
   /** Simple deterministic k-means over unit vectors (the `cluster` call of
-    * Algorithm 1). Returns (centroids, assignment of each input).
+    * Algorithm 1), 10 Lloyd iterations. Returns (centroids, assignment of
+    * each input).
     */
-  def kmeans(points: Vector[Array[Double]], k: Int, seed: Long, iters: Int = 10)
+  def kmeans(points: Vector[Array[Double]], k: Int, seed: Long)
       : (Vector[Array[Double]], Vector[Int]) = {
     require(points.nonEmpty, "kmeans over empty set")
     val kk = math.min(k, points.size)
     val rnd = new Random(seed)
     var centroids = rnd.shuffle(points).take(kk).map(_.clone())
     var assign = points.map(nearest(centroids, _))
-    for (_ <- 1 to iters) {
+    for (_ <- 1 to 10) {
       centroids = centroids.indices.map { ci =>
         val members = points.indices.filter(assign(_) == ci)
         if (members.isEmpty) centroids(ci)
@@ -170,7 +170,7 @@ object Hmooc {
     val solutions: Vector[Sol[FineConfig]] = s.aggregation match {
       case Boundary         => all.flatMap(aggregateBoundary(_, split))
       case DivideAndConquer => all.flatMap(aggregateDivide(_, split))
-      case WsApprox         => all.flatMap(aggregateWs(_, s.nWsWeights, split))
+      case WsApprox         => all.flatMap(aggregateWs(_, 11, split)) // MO-WS's 11 pairs
     }
     MooResult(Pareto.skyline(solutions), (System.nanoTime() - t0) / 1e9)
   }

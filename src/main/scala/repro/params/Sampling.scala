@@ -17,7 +17,7 @@ object Sampling {
   def latinHypercube(n: Int, dim: Int, seed: Long): Vector[Vector[Double]] = {
     require(n > 0 && dim > 0, "need positive n and dim")
     val rnd = new Random(seed)
-    val cols = Vector.tabulate(dim) { d =>
+    val cols = Vector.fill(dim) {
       val perm = rnd.shuffle((0 until n).toVector)
       perm.map(s => (s + rnd.nextDouble()) / n)
     }
@@ -43,8 +43,10 @@ object Sampling {
     * end-to-end deployment "refines the search range for each parameter by
     * avoiding the extreme values" where model predictions are unreliable).
     */
-  def refine(u: Vector[Double], margin: Double = 0.08): Vector[Double] =
+  def refine(u: Vector[Double]): Vector[Double] = {
+    val margin = 0.08
     u.map(x => margin + (1.0 - 2.0 * margin) * x)
+  }
 
   /** Evenly spaced 2-D weight pairs `(w, 1-w)` used by weighted-sum solvers. */
   def weightPairs(n: Int): Vector[(Double, Double)] = {

@@ -12,6 +12,8 @@ import repro.workload.{OpType, QueryGraph, SubQ}
   * joins, aggregates and unions start a new stage fed by exchanges.
   * Statistics come from Catalyst's cost-based optimizer (`plan.stats`),
   * i.e. exactly the `α_cbo` the paper's compile-time models consume.
+  * Only childless nodes become scans; any other multi-input node (e.g. a
+  * `CoGroup`) is rejected rather than mis-modelled.
   */
 object PlanExtractor {
 
@@ -77,10 +79,13 @@ object PlanExtractor {
         c
       case other if other.children.size == 1 =>
         build(other.children.head)
-      case leaf =>
+      case leaf if leaf.children.isEmpty =>
         val (b, r) = statsOf(leaf)
         Ref(mk(Vector(OpType.Scan, OpType.Exchange), Vector.empty,
           Some(leaf.nodeName.toLowerCase), b, r, b, r, 0), 0)
+      case other =>
+        throw new IllegalArgumentException(
+          s"cannot model plan node ${other.nodeName} with ${other.children.size} children as subQs")
     }
 
     build(plan)

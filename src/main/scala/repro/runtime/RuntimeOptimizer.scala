@@ -15,29 +15,25 @@ import repro.workload.{JoinAlgo, QueryGraph, SubQ}
   *
   * Request pruning (§C.2.2) happens in the simulator's AQE loop: hooks only
   * fire for join-planning collapsed plans with complete input statistics,
-  * and for non-scan stages above the advisory partition size. The hook-call
-  * counters here therefore measure *sent* requests.
+  * and for non-scan stages above the advisory partition size; the
+  * simulator's `QueryExec.lqpRequestsSent`/`qsRequestsSent` count the calls.
   */
 final class RuntimeOptimizer(
     qm: QueryModels,
     cU: Array[Double],
     pref: (Double, Double),
-    pInit: ThetaP = ThetaP.default,
-    nThetaPCandidates: Int = 24,
-    seed: Long = 91L) extends RuntimeHooks {
-
-  var lqpCalls: Int = 0
-  var qsCalls: Int = 0
+    pInit: ThetaP = ThetaP.default) extends RuntimeHooks {
 
   /** Accumulated wall time spent inside the hooks (the runtime share of
     * HMOOC3+'s solving time in Table 4).
     */
   var optTimeSec: Double = 0.0
 
-  // Candidate θp copies: a fixed LHS pool plus Spark defaults; the current
-  // copy is always added at scoring time so "keep" is an option.
+  // Candidate θp copies: a fixed 23-point LHS pool (seed 91) plus Spark
+  // defaults; the current copy is always added at scoring time so "keep" is
+  // an option.
   private val pCandidates: Vector[ThetaP] =
-    ThetaP.default +: Sampling.latinHypercube(nThetaPCandidates - 1, SparkParams.dP, seed)
+    ThetaP.default +: Sampling.latinHypercube(23, SparkParams.dP, 91L)
       .map(u => ThetaP.fromUnit(Sampling.refine(u)))
 
   // Candidate θs copies: small grid (2 params only).
@@ -50,15 +46,23 @@ final class RuntimeOptimizer(
   // for the partition-count feature.
   private var currentP: ThetaP = pInit
 
+  /** Scores `current +: candidates` to predicted (latency, cost), returns
+    * the preferred one, and adds the call's wall time to `optTimeSec`.
+    */
+  private def choose[T](current: T, candidates: Vector[T])(objectives: T => (Double, Double)): T = {
+    val t0 = System.nanoTime()
+    val scored = (current +: candidates).map { t => val (lat, cost) = objectives(t); (t, lat, cost) }
+    val picked = RuntimeOptimizer.pickPreferred(scored, pref)
+    optTimeSec += (System.nanoTime() - t0) / 1e9
+    picked
+  }
+
   override def onCollapsedPlan(
       g: QueryGraph,
       readyJoins: Vector[SubQ],
       trueOut: Map[Int, CostModel.SideStats],
       current: ThetaP): ThetaP = {
-    val t0 = System.nanoTime()
-    lqpCalls += 1
-    val cands = current +: pCandidates
-    val scored = cands.map { p =>
+    currentP = choose(current, pCandidates) { p =>
       val u = cU ++ p.toUnit ++ ThetaS.default.toUnit
       var lat = 0.0; var cost = 0.0
       readyJoins.foreach { j =>
@@ -66,12 +70,9 @@ final class RuntimeOptimizer(
         val (ll, cc) = qm.toObjectives(l, io, thetaC)
         lat += ll; cost += cc
       }
-      (p, lat, cost)
+      (lat, cost)
     }
-    val picked = RuntimeOptimizer.pickPreferred(scored, pref)
-    currentP = picked
-    optTimeSec += (System.nanoTime() - t0) / 1e9
-    picked
+    currentP
   }
 
   override def onQueryStage(
@@ -79,19 +80,12 @@ final class RuntimeOptimizer(
       inputMb: Double,
       algo: Option[JoinAlgo],
       current: ThetaS): ThetaS = {
-    val t0 = System.nanoTime()
-    qsCalls += 1
     val algoCode = JoinAlgo.code(algo)
-    val cands = current +: sCandidates
-    val scored = cands.map { s =>
+    choose(current, sCandidates) { s =>
       val u = cU ++ currentP.toUnit ++ s.toUnit
       val (l, io) = qm.predictQs(sub.id, u, algoCode, 0.0, 0.0)
-      val (ll, cc) = qm.toObjectives(l, io, thetaC)
-      (s, ll, cc)
+      qm.toObjectives(l, io, thetaC)
     }
-    val picked = RuntimeOptimizer.pickPreferred(scored, pref)
-    optTimeSec += (System.nanoTime() - t0) / 1e9
-    picked
   }
 }
 

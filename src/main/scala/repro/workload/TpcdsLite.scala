@@ -48,8 +48,6 @@ object TpcdsLite {
     TableSpec("reason",                      55L, 2L * 1024),
     TableSpec("income_band",                 20L, 1L * 1024))
 
-  val numQueries: Int = 102
-
   /** Deterministic template for query index `i` (0-based). */
   private def template(i: Int): QueryTemplate = {
     val rnd = new Random(424242L + i * 1313L)
@@ -70,11 +68,8 @@ object TpcdsLite {
     QueryTemplate(f"TPCDS-Q${i + 1}%d", branchSpecs)
   }
 
-  val templates: Vector[QueryTemplate] = Vector.tabulate(numQueries)(template)
+  val templates: Vector[QueryTemplate] = Vector.tabulate(102)(template)
 
   /** The 102 benchmark queries (variant 0 of each template). */
   def queries: Vector[QueryGraph] = templates.map(WorkloadGen.genQuery(_, 0))
-
-  /** Parametric variant `v` of template `i` (for training traces). */
-  def variant(i: Int, v: Long): QueryGraph = WorkloadGen.genQuery(templates(i), v)
 }

@@ -54,7 +54,4 @@ object TpchLite {
 
   /** The 22 benchmark queries (variant 0 of each template). */
   def queries: Vector[QueryGraph] = templates.map(WorkloadGen.genQuery(_, 0))
-
-  /** Parametric variant `v` of template `i` (for training traces). */
-  def variant(i: Int, v: Long): QueryGraph = WorkloadGen.genQuery(templates(i), v)
 }

@@ -19,12 +19,10 @@ object TraceGen {
     * arrays (exploded into subQ/QS samples by the trainer).
     */
   final case class RunResult(
-      bench: String,
       template: Int,
       variant: Long,
       conf: Seq[Double], // unit-normalized 19-dim configuration
       wallSec: Double,
-      analyticalSec: Double,
       ioMb: Double,
       stageIds: Seq[Int],
       stageAnalytical: Seq[Double],
@@ -34,18 +32,11 @@ object TraceGen {
       stageAlgo: Seq[Int]) // JoinAlgo.code
 
   /** Number of templates in a benchmark. */
-  def numTemplates(bench: String): Int = bench match {
-    case "tpch"  => TpchLite.templates.size
-    case "tpcds" => TpcdsLite.numQueries
-    case other   => throw new IllegalArgumentException(s"unknown benchmark $other")
-  }
+  def numTemplates(bench: String): Int = WorkloadGen.templates(bench).size
 
   /** Deterministically regenerate the graph for a trace row. */
-  def graphOf(bench: String, template: Int, variant: Long): QueryGraph = bench match {
-    case "tpch"  => TpchLite.variant(template, variant)
-    case "tpcds" => TpcdsLite.variant(template, variant)
-    case other   => throw new IllegalArgumentException(s"unknown benchmark $other")
-  }
+  def graphOf(bench: String, template: Int, variant: Long): QueryGraph =
+    WorkloadGen.genQuery(WorkloadGen.templates(bench)(template), variant)
 
   /** Run `nRuns` sampled (query, configuration) pairs through the simulator
     * on the Spark cluster and return their trace records.
@@ -70,8 +61,8 @@ object TraceGen {
       val sim = new Simulator(spec)
       val exec = sim.runStatic(g, Configuration.fromUnit(conf), noiseSeed = seed + idx)
       RunResult(
-        bench = bench, template = template, variant = variant, conf = conf,
-        wallSec = exec.wallSec, analyticalSec = exec.analyticalSec, ioMb = exec.ioMb,
+        template = template, variant = variant, conf = conf,
+        wallSec = exec.wallSec, ioMb = exec.ioMb,
         stageIds = exec.stages.map(_.subQId),
         stageAnalytical = exec.stages.map(_.analyticalSec),
         stageIo = exec.stages.map(_.ioMb),

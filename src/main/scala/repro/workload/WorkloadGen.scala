@@ -38,6 +38,18 @@ object WorkloadGen {
     math.exp(rnd.nextGaussian() * sigma + bias)
   }
 
+  /** The query templates of benchmark `bench`; the one place that decides
+    * which benchmark names exist.
+    */
+  def templates(bench: String): Vector[QueryTemplate] = bench match {
+    case "tpch"  => TpchLite.templates
+    case "tpcds" => TpcdsLite.templates
+    case other   => throw new IllegalArgumentException(s"unknown benchmark $other")
+  }
+
+  /** The benchmark's canonical queries (variant 0 of each template). */
+  def queries(bench: String): Vector[QueryGraph] = templates(bench).map(genQuery(_, 0))
+
   /** Generate the query graph for `variant` of `template`. */
   def genQuery(template: QueryTemplate, variant: Long): QueryGraph = {
     val rnd = new Random(template.name.hashCode.toLong * 1000003L + variant * 7919L)

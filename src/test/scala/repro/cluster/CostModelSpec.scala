@@ -25,23 +25,23 @@ class CostModelSpec extends AnyFunSuite {
 
   test("shufflePartitions caps s5 by the AQE advisory size") {
     val many = p.copy(shufflePartitions = 2000, advisoryPartitionMb = 64)
-    assert(CostModel.shufflePartitions(640.0, c, many, s) == 10) // 640MB/64MB
+    assert(CostModel.shufflePartitions(640.0, many, s) == 10) // 640MB/64MB
   }
 
   test("shufflePartitions never exceeds s5") {
     val few = p.copy(shufflePartitions = 20, advisoryPartitionMb = 16)
-    assert(CostModel.shufflePartitions(10000.0, c, few, s) == 20)
+    assert(CostModel.shufflePartitions(10000.0, few, s) == 20)
   }
 
   test("shufflePartitions respects the θs minimum partition size") {
     val tiny = p.copy(shufflePartitions = 2000, advisoryPartitionMb = 16)
     val bigMin = ThetaS(smallPartitionFactor = 0.5, minPartitionSizeMb = 64)
-    val got = CostModel.shufflePartitions(320.0, c, tiny, bigMin)
+    val got = CostModel.shufflePartitions(320.0, tiny, bigMin)
     assert(got <= 5) // 320MB / 64MB minimum
   }
 
   test("shufflePartitions is at least 1") {
-    assert(CostModel.shufflePartitions(0.001, c, p, s) == 1)
+    assert(CostModel.shufflePartitions(0.001, p, s) == 1)
   }
 
   test("scanPartitions follows maxPartitionBytes") {
@@ -52,8 +52,8 @@ class CostModelSpec extends AnyFunSuite {
   test("larger advisory size means fewer partitions") {
     forAllSeeds(20) { rnd =>
       val mb = 100.0 + rnd.nextDouble() * 10000
-      val small = CostModel.shufflePartitions(mb, c, p.copy(advisoryPartitionMb = 16), s)
-      val large = CostModel.shufflePartitions(mb, c, p.copy(advisoryPartitionMb = 256), s)
+      val small = CostModel.shufflePartitions(mb, p.copy(advisoryPartitionMb = 16), s)
+      val large = CostModel.shufflePartitions(mb, p.copy(advisoryPartitionMb = 256), s)
       assert(large <= small)
     }
   }

@@ -128,7 +128,7 @@ class SimulatorSpec extends AnyFunSuite {
     val hours = e.wallSec / 3600.0
     val expected = spec.cpuUsdPerCoreHour * dflt.c.totalCores * hours +
       spec.memUsdPerGbHour * dflt.c.totalMemGb * hours +
-      spec.ioUsdPerGb * e.ioGb
+      spec.ioUsdPerGb * e.ioMb / 1024
     assert(math.abs(e.costUsd - expected) / expected < 1e-9)
   }
 

@@ -1,6 +1,8 @@
 package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.model.Metrics
+import repro.model.Trainer.{ModelReport, TargetMetrics}
 
 /** Pure logic of the table harnesses (statistics and formatting). */
 class HarnessSpec extends AnyFunSuite {
@@ -59,16 +61,34 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("Table 3 formatting renders three targets") {
-    val row = Table3Harness.Row("tpch", "subQ", 0.1, 0.05, 0.3, 0.95, 0.02, 0.01, 0.05, 0.99, 120)
-    val out = Table3Harness.format(Vector(row, row.copy(target = "QS"), row.copy(target = "LQP")))
+    val t = TargetMetrics(Metrics.Report(0.1, 0.05, 0.3, 0.95), Metrics.Report(0.02, 0.01, 0.05, 0.99), 120)
+    val out = Table3Harness.format("tpch", ModelReport(t, t, t))
     assert(out.contains("subQ") && out.contains("QS") && out.contains("LQP"))
+    assert(out.linesIterator.size == 5)
+    assert(out.linesIterator.toVector(2) ==
+      "tpch    subQ  |   0.100   0.050   0.300  0.95 |   0.020   0.010   0.050  0.99 |      120")
   }
 
   test("calibration knobs read system-property overrides") {
-    sys.props("repro.test_knob_xyz") = "77"
-    assert(Calibration.int("test_knob_xyz", 5) == 77)
-    sys.props.remove("repro.test_knob_xyz")
-    assert(Calibration.int("test_knob_xyz", 5) == 5)
+    def overridden[A](key: String, value: String)(read: => A): A = {
+      val old = sys.props.get(key)
+      sys.props(key) = value
+      try read finally old match {
+        case Some(v) => sys.props(key) = v
+        case None    => sys.props -= key
+      }
+    }
+    val runs = Calibration.trainRuns("tpcds")
+    assert(overridden("repro.trainruns_tpcds", "123")(Calibration.trainRuns("tpcds")) == 123)
+    assert(Calibration.trainRuns("tpcds") == runs)
+    assert(overridden("repro.epochs", "77")(Calibration.epochs) == 77)
+  }
+
+  test("TableJob rejects an unknown benchmark or table before Spark starts") {
+    assert(repro.jobs.TableJob.parse(Array("4")) == ("4", Seq("tpch", "tpcds")))
+    val e = intercept[IllegalArgumentException](repro.jobs.TableJob.parse(Array("4", "tpcx")))
+    assert(e.getMessage.contains("unknown benchmark tpcx"))
+    intercept[IllegalArgumentException](repro.jobs.TableJob.parse(Array("6", "tpch")))
   }
 
   test("Table 5 preference grid matches the paper's five vectors") {

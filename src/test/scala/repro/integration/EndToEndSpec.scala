@@ -1,7 +1,7 @@
 package repro.integration
 
 import repro.SparkSpec
-import repro.harness.{ExperimentContext, Tuners}
+import repro.harness.ExperimentContext
 import repro.moo.Pareto
 
 /** End-to-end pipeline on a small trained model: compile-time HMOOC,
@@ -26,15 +26,15 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("HMOOC3 solves every TPC-H query within the cloud time budget") {
-    ctx.queries.take(6).foreach { g =>
-      val r = ctx.hmooc(g)
-      assert(r.front.nonEmpty, g.name)
-      assert(r.solveTimeSec < 5.0, s"${g.name} took ${r.solveTimeSec}s")
+    ctx.queries.take(6).foreach { q =>
+      val r = q.hmooc
+      assert(r.front.nonEmpty, q.g.name)
+      assert(r.solveTimeSec < 5.0, s"${q.g.name} took ${r.solveTimeSec}s")
     }
   }
 
   test("the HMOOC front is non-dominated and spans a latency/cost tradeoff") {
-    val r = ctx.hmooc(ctx.queries(8)) // Q9
+    val r = ctx.queries(8).hmooc // Q9
     r.front.foreach(a => assert(!r.front.exists(b =>
       Pareto.dominates((b.f1, b.f2), (a.f1, a.f2)))))
     if (r.front.size > 1) {
@@ -45,45 +45,41 @@ class EndToEndSpec extends SparkSpec {
 
   test("tuning beats the default configuration on the heavy queries") {
     // Aggregate over the heavy half to absorb single-query model noise.
-    val heavy = ctx.queries.filter(g => ctx.defaultExec(g).wallSec > 40)
+    val heavy = ctx.queries.filter(_.defaultExec.wallSec > 40)
     assert(heavy.nonEmpty)
-    val defSum = heavy.map(g => ctx.defaultExec(g).wallSec).sum
-    val tunedSum = heavy.map { g =>
-      val fc = ctx.hmooc(g).recommend((0.9, 0.1)).payload
-      Tuners.runCompileTime(ctx.sim, g, fc, ctx.noiseSeed(g)).wallSec
+    val defSum = heavy.map(_.defaultExec.wallSec).sum
+    val tunedSum = heavy.map { q =>
+      q.deploy(q.hmooc.recommend((0.9, 0.1)).payload, runtimePref = None)._1.wallSec
     }.sum
     assert(tunedSum < defSum * 0.7, s"tuned $tunedSum vs default $defSum")
   }
 
   test("runtime optimization issues pruned request counts") {
-    val g = ctx.queries(8)
-    val fc = ctx.hmooc(g).recommend((0.9, 0.1)).payload
-    val (exec, opt) = Tuners.runHybrid(ctx.sim, g, ctx.qm(g), fc, (0.9, 0.1), ctx.noiseSeed(g))
-    assert(opt.lqpCalls > 0 && opt.qsCalls > 0)
+    val q = ctx.queries(8)
+    val (exec, _) = q.deploy(q.hmooc.recommend((0.9, 0.1)).payload, runtimePref = Some((0.9, 0.1)))
+    assert(exec.lqpRequestsSent > 0 && exec.qsRequestsSent > 0)
     val naive = exec.lqpRequestsNaive + exec.qsRequestsNaive
     val sent = exec.lqpRequestsSent + exec.qsRequestsSent
     assert(sent < naive, s"pruning sent $sent of $naive")
   }
 
   test("the recommended front adapts predicted objectives to the weights") {
-    val r = ctx.hmooc(ctx.queries(4)) // Q5
+    val r = ctx.queries(4).hmooc // Q5
     val fast = r.recommend((1.0, 0.0))
     val cheap = r.recommend((0.0, 1.0))
     assert(fast.f1 <= cheap.f1 && cheap.f2 <= fast.f2)
   }
 
   test("hybrid deployment is deterministic given the same seed") {
-    val g = ctx.queries(2)
-    val fc = ctx.hmooc(g).recommend((0.9, 0.1)).payload
-    val a = Tuners.runHybrid(ctx.sim, g, ctx.qm(g), fc, (0.9, 0.1), 7L)._1.wallSec
-    val b = Tuners.runHybrid(ctx.sim, g, ctx.qm(g), fc, (0.9, 0.1), 7L)._1.wallSec
+    val q = ctx.queries(2)
+    val fc = q.hmooc.recommend((0.9, 0.1)).payload
+    val a = q.deploy(fc, runtimePref = Some((0.9, 0.1)))._1.wallSec
+    val b = q.deploy(fc, runtimePref = Some((0.9, 0.1)))._1.wallSec
     assert(a == b)
   }
 
   test("MO-WS query-level solving is slower than HMOOC3 (R2 shape)") {
-    val g = ctx.queries(8)
-    val mows = ctx.mows(g)
-    val hm = ctx.hmooc(g)
-    assert(mows.solveTimeSec > hm.solveTimeSec)
+    val q = ctx.queries(8)
+    assert(q.mows.solveTimeSec > q.hmooc.solveTimeSec)
   }
 }

@@ -3,7 +3,7 @@ package repro.model
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.Simulator
 import repro.params.{Configuration, SparkParams}
-import repro.workload.{JoinAlgo, OpType, TpchLite}
+import repro.workload.{JoinAlgo, TpchLite}
 
 /** The GTN-substitute embedder and the featurizer of §4.3. */
 class EmbedderFeaturesSpec extends AnyFunSuite {

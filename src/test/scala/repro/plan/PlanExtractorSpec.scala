@@ -57,6 +57,17 @@ class PlanExtractorSpec extends SparkSpec {
     assert(g.subQs.head.isScan)
   }
 
+  test("a multi-input node other than a join or union is rejected, not modelled as a scan") {
+    import spark.implicits._
+    val a = Seq((1, "x"), (2, "y")).toDS()
+    val b = Seq((1, "z")).toDS()
+    val df = a.groupByKey(_._1).cogroup(b.groupByKey(_._1)) { (k, l, r) =>
+      Iterator(k -> (l.size + r.size))
+    }.toDF()
+    val e = intercept[IllegalArgumentException](PlanExtractor.extract(df, "cogroup"))
+    assert(e.getMessage.contains("CoGroup") && e.getMessage.contains("2 children"), e.getMessage)
+  }
+
   test("join depth increases along the join chain") {
     val g = PlanExtractor.extract(sqlDf(TpchQueries.q5.sql), "q5-depth")
     val joins = g.subQs.filter(_.isJoin)

@@ -1,11 +1,11 @@
 package repro.runtime
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.{ClusterSpec, Simulator}
+import repro.cluster.{ClusterSpec, CostModel, RuntimeHooks, Simulator}
 import repro.model.{QueryModels, TestModels}
 import repro.moo.FineConfig
 import repro.params.{SparkParams, ThetaP, ThetaS}
-import repro.workload.TpchLite
+import repro.workload.{JoinAlgo, QueryGraph, SubQ, TpchLite}
 import scala.util.Random
 
 /** θp/θs aggregation (§C.2.1) and the runtime optimizer hooks (§5.2). */
@@ -76,19 +76,28 @@ class RuntimeSpec extends AnyFunSuite {
     val sim = new Simulator()
     val opt = optimizer()
     val compiled = sim.compilePlan(g, _ => ThetaP.default)
-    sim.execute(g, repro.params.ThetaC.default, compiled, ThetaP.default, ThetaS.default, Some(opt))
-    assert(opt.lqpCalls > 0)
-    assert(opt.qsCalls > 0)
+    val e = sim.execute(g, repro.params.ThetaC.default, compiled, ThetaP.default, ThetaS.default, Some(opt))
+    assert(e.lqpRequestsSent > 0)
+    assert(e.qsRequestsSent > 0)
     assert(opt.optTimeSec > 0)
   }
 
   test("runtime hook counts match the simulator's sent-request accounting") {
     val sim = new Simulator()
     val opt = optimizer()
+    var lqpCalls = 0; var qsCalls = 0
+    val counting = new RuntimeHooks {
+      def onCollapsedPlan(graph: QueryGraph, joins: Vector[SubQ], out: Map[Int, CostModel.SideStats], p: ThetaP) = {
+        lqpCalls += 1; opt.onCollapsedPlan(graph, joins, out, p)
+      }
+      def onQueryStage(sub: SubQ, inputMb: Double, algo: Option[JoinAlgo], s: ThetaS) = {
+        qsCalls += 1; opt.onQueryStage(sub, inputMb, algo, s)
+      }
+    }
     val compiled = sim.compilePlan(g, _ => ThetaP.default)
-    val e = sim.execute(g, repro.params.ThetaC.default, compiled, ThetaP.default, ThetaS.default, Some(opt))
-    assert(opt.lqpCalls == e.lqpRequestsSent)
-    assert(opt.qsCalls == e.qsRequestsSent)
+    val e = sim.execute(g, repro.params.ThetaC.default, compiled, ThetaP.default, ThetaS.default, Some(counting))
+    assert(lqpCalls == e.lqpRequestsSent)
+    assert(qsCalls == e.qsRequestsSent)
   }
 
   test("runtime optimization is deterministic") {

@@ -49,14 +49,14 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("generation is deterministic in (template, variant)") {
-    assert(TpchLite.variant(2, 5) == TpchLite.variant(2, 5))
-    assert(TpchLite.variant(2, 5) != TpchLite.variant(2, 6))
-    assert(TpcdsLite.variant(10, 1) == TpcdsLite.variant(10, 1))
+    assert(TraceGen.graphOf("tpch", 2, 5) == TraceGen.graphOf("tpch", 2, 5))
+    assert(TraceGen.graphOf("tpch", 2, 5) != TraceGen.graphOf("tpch", 2, 6))
+    assert(TraceGen.graphOf("tpcds", 10, 1) == TraceGen.graphOf("tpcds", 10, 1))
   }
 
   test("parametric variants differ from the base query but keep its shape") {
     val base = TpchLite.queries(8)
-    val v = TpchLite.variant(8, 3)
+    val v = TraceGen.graphOf("tpch", 8, 3)
     assert(v.numSubQs == base.numSubQs)
     assert(v.subQs.map(_.trueOutBytes) != base.subQs.map(_.trueOutBytes))
   }
