@@ -31,11 +31,11 @@ final case class QueryExec(
 /** Runtime-optimization hook points — the two request types of Fig 2.
   *
   * `onCollapsedPlan` fires when completed-stage statistics are folded into
-  * the collapsed plan and join stages are about to be planned; it may return
-  * a re-tuned `θp`. `onQueryStage` fires per query stage before execution
-  * and may return a re-tuned `θs`. A `None` return means "no request sent"
-  * (the pruning rules of §C.2.2 live in the caller; hooks see only
-  * unpruned requests).
+  * the collapsed plan and join stages are about to be planned; it returns
+  * the `θp` to plan them with. `onQueryStage` fires per query stage before
+  * execution and returns the `θs` to run it with. Either may return its
+  * `current` argument unchanged. The simulator applies the pruning rules of
+  * §C.2.2 before calling, so hooks see only unpruned requests.
   */
 trait RuntimeHooks {
   def onCollapsedPlan(
@@ -97,8 +97,9 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
     *
     * @param hooks     runtime optimizer; `None` runs plain AQE with the
     *                  static parameter copies (Spark's own behaviour)
-    * @param noiseSeed deterministic observation noise on task work (>=0
-    *                  enables ±~8% log-normal noise; <0 disables)
+    * @param noiseSeed deterministic observation noise (>=0 multiplies each
+    *                  stage's work by a log-normal factor with σ = 0.06;
+    *                  <0 disables)
     */
   def execute(
       g: QueryGraph,

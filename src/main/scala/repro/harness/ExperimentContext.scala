@@ -11,10 +11,11 @@ import repro.workload.{QueryGraph, WorkloadGen}
 
 /** Shared, lazily built experiment state for the bench suites and jobs.
   *
-  * Training the models and evaluating the 20k-sample batches per query are
-  * the expensive parts of Tables 4 and 5; both tables (and the jobs) reuse
-  * them through one [[BenchContext]] per benchmark, exactly as the paper's
-  * experiments reuse one trained model per benchmark.
+  * Training the models and evaluating the MO-WS/SO-FW sample batch of each
+  * query (20k samples for TPC-H, 8k for TPC-DS) are the expensive parts of
+  * Tables 4 and 5; both tables (and the jobs) reuse them through one
+  * [[BenchContext]] per benchmark, exactly as the paper's experiments reuse
+  * one trained model per benchmark.
   */
 object ExperimentContext {
 

@@ -3,7 +3,7 @@ package repro.model
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import repro.cluster.ClusterSpec
-import repro.workload.TraceGen
+import repro.workload.{JoinAlgo, TraceGen}
 
 /** Trains the subQ / QS / LQP models on simulator traces and reports the
   * Table 3 metrics on a held-out split.
@@ -69,17 +69,16 @@ object Trainer {
       val conf = run.conf.toArray
       val bucket = math.abs((run.template * 31L + run.variant * 17L).hashCode) % 10
 
-      run.stageIds.indices.foreach { k =>
-        val i = run.stageIds(k)
-        val y = target(run.stageAnalytical(k), run.stageIo(k))
+      run.exec.stages.foreach { st =>
+        val y = target(st.analyticalSec, st.ioMb)
         // subQ model: compile-time view. QS model: runtime view with the
         // stage's physical join algorithm and its measured contention.
-        subQRows += ((features.subQ(i, conf), y, bucket))
-        qsRows += ((features.qs(i, conf, run.stageAlgo(k),
-          run.stageSiblings(k).toDouble, run.stageSiblingWork(k)), y, bucket))
+        subQRows += ((features.subQ(st.subQId, conf), y, bucket))
+        qsRows += ((features.qs(st.subQId, conf, JoinAlgo.code(st.algo),
+          st.siblingCount.toDouble, st.siblingWorkSec), y, bucket))
       }
       // LQP model: whole plan, end-to-end latency.
-      lqpRows += ((features.lqp(conf), target(run.wallSec, run.ioMb), bucket))
+      lqpRows += ((features.lqp(conf), target(run.exec.wallSec, run.exec.ioMb), bucket))
     }
 
     val subQSplit = buildSplit(subQRows.toSeq)

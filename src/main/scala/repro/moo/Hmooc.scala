@@ -44,9 +44,6 @@ object Hmooc {
   /** One θc candidate with its per-subQ effective solution sets. */
   final case class CandSols(cU: Array[Double], perSubQ: Vector[Vector[SubSol]])
 
-  /** Splits a pool entry into its (θp, θs) unit slices. */
-  type PoolSplit = Int => (Array[Double], Array[Double])
-
   // --------------------------------------------------------------------- //
 
   /** Simple deterministic k-means over unit vectors (the `cluster` call of
@@ -124,8 +121,6 @@ object Hmooc {
     val pool: Vector[Array[Double]] =
       defaultPoolEntry +: Sampling.latinHypercube(s.nPool - 1, dPs, s.seed)
         .map(u => Sampling.refine(u).toArray)
-    val split: PoolSplit =
-      idx => (pool(idx).slice(0, SparkParams.dP), pool(idx).slice(SparkParams.dP, dPs))
 
     // 1. Initial θc candidates + clustering.
     val initC = Sampling.latinHypercube(s.nInitC, SparkParams.dC, s.seed + 1)
@@ -166,29 +161,31 @@ object Hmooc {
     val enriched = assignOptP(crossover(initC, s.nEnrich, s.seed + 3))
     val all = initial ++ enriched
 
-    // 3. DAG aggregation → query-level Pareto front.
-    val solutions: Vector[Sol[FineConfig]] = s.aggregation match {
-      case Boundary         => all.flatMap(aggregateBoundary(_, split))
-      case DivideAndConquer => all.flatMap(aggregateDivide(_, split))
-      case WsApprox         => all.flatMap(aggregateWs(_, 11, split)) // MO-WS's 11 pairs
+    // 3. DAG aggregation → query-level Pareto front, then its configurations.
+    val points: Vector[Sol[(Array[Double], Vector[Int])]] = all.flatMap { cand =>
+      val sels = s.aggregation match {
+        case Boundary         => aggregateBoundary(cand)
+        case DivideAndConquer => aggregateDivide(cand)
+        case WsApprox         => aggregateWs(cand, 11) // MO-WS's 11 pairs
+      }
+      sels.map(sel => Sol(sel.f1, sel.f2, (cand.cU, sel.payload)))
     }
-    MooResult(Pareto.skyline(solutions), (System.nanoTime() - t0) / 1e9)
+    val front = Pareto.skyline(points).map { case Sol(f1, f2, (cU, sel)) =>
+      Sol(f1, f2, FineConfig(cU,
+        sel.map(pool(_).slice(0, SparkParams.dP)), sel.map(pool(_).slice(SparkParams.dP, dPs))))
+    }
+    MooResult(front, (System.nanoTime() - t0) / 1e9)
   }
 
-  // ---- DAG aggregation variants ---------------------------------------- //
-
-  private def fine(cand: CandSols, sel: Vector[Int], split: PoolSplit): FineConfig = {
-    val parts = sel.map(split)
-    FineConfig(cand.cU, parts.map(_._1), parts.map(_._2))
-  }
+  // ---- DAG aggregation variants (payload: each subQ's pool index) ------- //
 
   /** HMOOC3: per θc, k extreme points (best query-level value per objective,
     * Propositions 5.2/5.3).
     */
-  def aggregateBoundary(cand: CandSols, split: PoolSplit): Vector[Sol[FineConfig]] = {
-    def extreme(pick: SubSol => Double): Sol[FineConfig] = {
+  def aggregateBoundary(cand: CandSols): Vector[Sol[Vector[Int]]] = {
+    def extreme(pick: SubSol => Double): Sol[Vector[Int]] = {
       val sels = cand.perSubQ.map(_.minBy(pick))
-      Sol(sels.map(_.lat).sum, sels.map(_.cost).sum, fine(cand, sels.map(_.poolIdx), split))
+      Sol(sels.map(_.lat).sum, sels.map(_.cost).sum, sels.map(_.poolIdx))
     }
     Vector(extreme(_.lat), extreme(_.cost))
   }
@@ -196,19 +193,17 @@ object Hmooc {
   /** HMOOC1: exact divide-and-conquer merge (Algorithms 2–3) — Minkowski
     * sum of the halves' fronts, keeping the non-dominated combinations.
     */
-  def aggregateDivide(cand: CandSols, split: PoolSplit): Vector[Sol[FineConfig]] = {
-    def rec(lists: Vector[Vector[SubSol]]): Vector[(Double, Double, Vector[Int])] =
+  def aggregateDivide(cand: CandSols): Vector[Sol[Vector[Int]]] = {
+    def rec(lists: Vector[Vector[SubSol]]): Vector[Sol[Vector[Int]]] =
       if (lists.size == 1)
         Pareto.skyline(lists.head.map(ss => Sol(ss.lat, ss.cost, Vector(ss.poolIdx))))
-          .map(s => (s.f1, s.f2, s.payload))
       else {
         val (h, r) = lists.splitAt(lists.size / 2)
         val left = rec(h); val right = rec(r)
-        val merged = for (a <- left; b <- right)
-          yield Sol(a._1 + b._1, a._2 + b._2, a._3 ++ b._3)
-        Pareto.skyline(merged).map(s => (s.f1, s.f2, s.payload))
+        Pareto.skyline(for (a <- left; b <- right)
+          yield Sol(a.f1 + b.f1, a.f2 + b.f2, a.payload ++ b.payload))
       }
-    rec(cand.perSubQ).map { case (f1, f2, sel) => Sol(f1, f2, fine(cand, sel, split)) }
+    rec(cand.perSubQ)
   }
 
   /** HMOOC2: weighted-sum over the subQ list (Algorithm 4) — for each
@@ -218,7 +213,7 @@ object Hmooc {
     * different affine map to each term and void Lemma 1's guarantee that
     * every returned point is query-level Pareto optimal.
     */
-  def aggregateWs(cand: CandSols, nWeights: Int, split: PoolSplit): Vector[Sol[FineConfig]] = {
+  def aggregateWs(cand: CandSols, nWeights: Int): Vector[Sol[Vector[Int]]] = {
     val weights = Sampling.weightPairs(nWeights)
     val latScale = math.max(1e-12,
       cand.perSubQ.map(sols => sols.map(_.lat).max - sols.map(_.lat).min).sum)
@@ -228,7 +223,7 @@ object Hmooc {
       val sels = cand.perSubQ.map { sols =>
         sols.minBy(ss => wl * ss.lat / latScale + wc * ss.cost / costScale)
       }
-      Sol(sels.map(_.lat).sum, sels.map(_.cost).sum, fine(cand, sels.map(_.poolIdx), split))
+      Sol(sels.map(_.lat).sum, sels.map(_.cost).sum, sels.map(_.poolIdx))
     }
   }
 }

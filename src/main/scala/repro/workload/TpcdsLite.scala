@@ -69,7 +69,4 @@ object TpcdsLite {
   }
 
   val templates: Vector[QueryTemplate] = Vector.tabulate(102)(template)
-
-  /** The 102 benchmark queries (variant 0 of each template). */
-  def queries: Vector[QueryGraph] = templates.map(WorkloadGen.genQuery(_, 0))
 }

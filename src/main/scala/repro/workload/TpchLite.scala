@@ -51,7 +51,4 @@ object TpchLite {
 
   val templates: Vector[QueryTemplate] =
     queryTables.zipWithIndex.map { case (ts, i) => QueryTemplate(s"TPCH-Q${i + 1}", Vector(ts)) }
-
-  /** The 22 benchmark queries (variant 0 of each template). */
-  def queries: Vector[QueryGraph] = templates.map(WorkloadGen.genQuery(_, 0))
 }

@@ -1,7 +1,8 @@
 package repro.workload
 
-import org.apache.spark.sql.{Dataset, SparkSession}
-import repro.cluster.{ClusterSpec, Simulator}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
+import repro.cluster.{ClusterSpec, QueryExec, Simulator}
 import repro.params.{Configuration, Sampling, SparkParams}
 
 /** Training-trace collection (§6, "Workloads").
@@ -11,25 +12,14 @@ import repro.params.{Configuration, Sampling, SparkParams}
   * configuration to collect traces. We do the same against the simulator,
   * distributed over Spark: each run is a (template, variant, configuration)
   * triple executed by `Simulator.runStatic` with observation noise, and the
-  * per-stage / per-query records come back as a Dataset.
+  * simulator's own run record is the trace.
   */
 object TraceGen {
 
-  /** One simulated run: the query-level record plus parallel per-stage
-    * arrays (exploded into subQ/QS samples by the trainer).
+  /** One simulated run: its query, its unit-normalized 19-dim configuration
+    * and the simulator's record (per-stage objectives included).
     */
-  final case class RunResult(
-      template: Int,
-      variant: Long,
-      conf: Seq[Double], // unit-normalized 19-dim configuration
-      wallSec: Double,
-      ioMb: Double,
-      stageIds: Seq[Int],
-      stageAnalytical: Seq[Double],
-      stageIo: Seq[Double],
-      stageSiblings: Seq[Int],
-      stageSiblingWork: Seq[Double],
-      stageAlgo: Seq[Int]) // JoinAlgo.code
+  final case class Trace(template: Int, variant: Long, conf: Vector[Double], exec: QueryExec)
 
   /** Number of templates in a benchmark. */
   def numTemplates(bench: String): Int = WorkloadGen.templates(bench).size
@@ -39,36 +29,25 @@ object TraceGen {
     WorkloadGen.genQuery(WorkloadGen.templates(bench)(template), variant)
 
   /** Run `nRuns` sampled (query, configuration) pairs through the simulator
-    * on the Spark cluster and return their trace records.
+    * on the Spark cluster and return their traces, in run order.
     */
   def traces(
       spark: SparkSession,
       bench: String,
       nRuns: Int,
       seed: Long,
-      spec: ClusterSpec = ClusterSpec.default): Dataset[RunResult] = {
-    import spark.implicits._
+      spec: ClusterSpec = ClusterSpec.default): RDD[Trace] = {
     val nT = numTemplates(bench)
     val confs = Sampling.latinHypercube(nRuns, SparkParams.dAll, seed)
     val confsB = spark.sparkContext.broadcast(confs)
 
-    spark.range(nRuns).as[Long].map { i =>
-      val idx = i.toInt
+    spark.sparkContext.parallelize(0 until nRuns).map { idx =>
       val template = idx % nT
       val variant = 1L + idx / nT
       val conf = confsB.value(idx)
-      val g = graphOf(bench, template, variant)
-      val sim = new Simulator(spec)
-      val exec = sim.runStatic(g, Configuration.fromUnit(conf), noiseSeed = seed + idx)
-      RunResult(
-        template = template, variant = variant, conf = conf,
-        wallSec = exec.wallSec, ioMb = exec.ioMb,
-        stageIds = exec.stages.map(_.subQId),
-        stageAnalytical = exec.stages.map(_.analyticalSec),
-        stageIo = exec.stages.map(_.ioMb),
-        stageSiblings = exec.stages.map(_.siblingCount),
-        stageSiblingWork = exec.stages.map(_.siblingWorkSec),
-        stageAlgo = exec.stages.map(s => JoinAlgo.code(s.algo)))
+      val exec = new Simulator(spec).runStatic(
+        graphOf(bench, template, variant), Configuration.fromUnit(conf), noiseSeed = seed + idx)
+      Trace(template, variant, conf, exec)
     }
   }
 }

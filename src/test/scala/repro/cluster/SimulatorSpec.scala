@@ -2,14 +2,14 @@ package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.params.{Configuration, ThetaP, ThetaS}
-import repro.workload.{JoinAlgo, TpchLite}
+import repro.workload.{JoinAlgo, WorkloadGen}
 import repro.cluster.CostModel.SideStats
 
 /** The AQE execution loop: planning, runtime upgrades, scheduling, costs. */
 class SimulatorSpec extends AnyFunSuite {
   private val sim = new Simulator()
-  private val q3 = TpchLite.queries(2)
-  private val q9 = TpchLite.queries(8)
+  private val q3 = WorkloadGen.queries("tpch")(2)
+  private val q9 = WorkloadGen.queries("tpch")(8)
   private val dflt = Configuration.default
 
   test("execution is deterministic without noise") {
@@ -50,7 +50,7 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("analytical and wall latency correlate (Fig 5)") {
-    val rs = TpchLite.queries.map(g => sim.runStatic(g, dflt, noiseSeed = 1))
+    val rs = WorkloadGen.queries("tpch").map(g => sim.runStatic(g, dflt, noiseSeed = 1))
     val ana = rs.map(_.analyticalSec).toArray
     val wall = rs.map(_.wallSec).toArray
     assert(repro.model.Metrics.pearson(wall, ana) > 0.9)
@@ -167,7 +167,7 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("context startup charges more wall time for larger contexts") {
-    val tiny = TpchLite.queries(0) // short query: startup visible
+    val tiny = WorkloadGen.queries("tpch")(0) // short query: startup visible
     val small = sim.runStatic(tiny, dflt.copy(c = dflt.c.copy(execInstances = 2, execCores = 8)))
     val large = sim.runStatic(tiny, dflt.copy(c = dflt.c.copy(execInstances = 24, execCores = 8)))
     // Same total cores per executor count scaled: larger fleet pays startup.
@@ -176,7 +176,7 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("IO bandwidth ceiling binds at very high core counts") {
-    val q = TpchLite.queries(19) // Q20, IO heavy
+    val q = WorkloadGen.queries("tpch")(19) // Q20, IO heavy
     val max = sim.runStatic(q, dflt.copy(c = dflt.c.copy(execCores = 8, execInstances = 24)))
     val ioFloor = max.stages.map(_.ioMb).sum / sim.spec.clusterIoMbPerSec
     assert(max.wallSec > ioFloor)

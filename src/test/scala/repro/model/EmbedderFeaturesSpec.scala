@@ -3,12 +3,12 @@ package repro.model
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.Simulator
 import repro.params.{Configuration, SparkParams}
-import repro.workload.{JoinAlgo, TpchLite}
+import repro.workload.{JoinAlgo, WorkloadGen}
 
 /** The GTN-substitute embedder and the featurizer of §4.3. */
 class EmbedderFeaturesSpec extends AnyFunSuite {
   private val emb = new GraphEmbedder()
-  private val g = TpchLite.queries(2)
+  private val g = WorkloadGen.queries("tpch")(2)
   private val conf = Configuration.default
   private val unit = (conf.c.toUnit ++ conf.p.toUnit ++ conf.s.toUnit).toArray
 

@@ -3,12 +3,12 @@ package repro.moo
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.ClusterSpec
 import repro.model.{QueryModels, TestModels}
-import repro.workload.TpchLite
+import repro.workload.WorkloadGen
 
 /** Invariants of the query-level baselines (MO-WS and SO-FW). */
 class BaselinesSpec extends AnyFunSuite {
   private lazy val qm =
-    new QueryModels(TpchLite.queries(2), TestModels.untrained(), ClusterSpec.default)
+    new QueryModels(WorkloadGen.queries("tpch")(2), TestModels.untrained(), ClusterSpec.default)
 
   private def assertNonDominated(r: MooResult): Unit =
     r.front.foreach { a =>

@@ -8,7 +8,7 @@ import repro.model.{QueryModels, TestModels}
 import repro.moo.Hmooc._
 import repro.moo.Pareto.Sol
 import repro.params.SparkParams
-import repro.workload.TpchLite
+import repro.workload.WorkloadGen
 
 /** HMOOC: effective-set generation, the three DAG aggregations, and the
   * formal guarantees of §5.1 / Appendix B.
@@ -16,8 +16,6 @@ import repro.workload.TpchLite
 class HmoocSpec extends AnyFunSuite {
 
   private val dPs = SparkParams.dP + SparkParams.dS
-  private def fakeSplit: PoolSplit =
-    idx => (Array.fill(SparkParams.dP)(idx / 100.0), Array.fill(SparkParams.dS)(idx / 100.0))
 
   private def randomCand(rnd: Random, m: Int, perSubQ: Int): CandSols =
     CandSols(
@@ -45,7 +43,7 @@ class HmoocSpec extends AnyFunSuite {
   test("HMOOC1 (divide-and-conquer) returns the full query-level Pareto front (Prop B.1)") {
     forAllSeeds(25) { rnd =>
       val cand = randomCand(rnd, m = 2 + rnd.nextInt(3), perSubQ = 2 + rnd.nextInt(4))
-      val got = aggregateDivide(cand, fakeSplit).map(s => (s.f1, s.f2)).toSet
+      val got = aggregateDivide(cand).map(s => (s.f1, s.f2)).toSet
       assert(canon(got) == canon(bruteFront(cand)))
     }
   }
@@ -54,7 +52,7 @@ class HmoocSpec extends AnyFunSuite {
     forAllSeeds(25) { rnd =>
       val cand = randomCand(rnd, m = 2 + rnd.nextInt(3), perSubQ = 2 + rnd.nextInt(4))
       val full = canon(bruteFront(cand))
-      val ws = canon(aggregateWs(cand, nWeights = 7, fakeSplit).map(s => (s.f1, s.f2)).toSet)
+      val ws = canon(aggregateWs(cand, nWeights = 7).map(s => (s.f1, s.f2)).toSet)
       assert(ws.nonEmpty)
       assert(ws.subsetOf(full), s"WS points $ws not all in front $full")
     }
@@ -63,7 +61,7 @@ class HmoocSpec extends AnyFunSuite {
   test("HMOOC3 (boundary) produces the per-objective extreme points (Prop 5.2/5.3)") {
     forAllSeeds(25) { rnd =>
       val cand = randomCand(rnd, m = 3, perSubQ = 4)
-      val ext = aggregateBoundary(cand, fakeSplit)
+      val ext = aggregateBoundary(cand)
       assert(ext.size == 2) // k = 2 objectives
       val full = bruteFront(cand)
       // The latency extreme matches the true minimum query-level latency.
@@ -84,11 +82,38 @@ class HmoocSpec extends AnyFunSuite {
   }
 
   test("HMOOC payloads carry one θp/θs copy per subQ") {
-    val rnd = new Random(1)
-    val cand = randomCand(rnd, m = 4, perSubQ = 3)
-    aggregateBoundary(cand, fakeSplit).foreach { sol =>
-      assert(sol.payload.m == 4)
-      assert(sol.payload.cU.toSeq == cand.cU.toSeq)
+    forAllSeeds(25) { rnd =>
+      // Distinct pool indices per subQ, so a pick from the wrong subQ shows.
+      val base = randomCand(rnd, m = 2 + rnd.nextInt(3), perSubQ = 2 + rnd.nextInt(4))
+      val cand = base.copy(perSubQ = base.perSubQ.zipWithIndex.map { case (sols, i) =>
+        sols.map(s => s.copy(poolIdx = s.poolIdx + 100 * i))
+      })
+      val ext = aggregateBoundary(cand)
+      assert(ext(0).payload == cand.perSubQ.map(_.minBy(_.lat).poolIdx))
+      assert(ext(1).payload == cand.perSubQ.map(_.minBy(_.cost).poolIdx))
+      // Every variant's point is the sum of the subQ solutions it selects.
+      (ext ++ aggregateDivide(cand) ++ aggregateWs(cand, nWeights = 7)).foreach { sol =>
+        assert(sol.payload.size == cand.perSubQ.size)
+        val picked = sol.payload.zip(cand.perSubQ).map { case (pi, sols) =>
+          val s = sols.find(_.poolIdx == pi)
+          assert(s.isDefined, s"pool index $pi is not among its subQ's solutions")
+          s.get
+        }
+        assert(math.abs(picked.map(_.lat).sum - sol.f1) < 1e-9)
+        assert(math.abs(picked.map(_.cost).sum - sol.f2) < 1e-9)
+      }
+    }
+    // solve pairs each front point with its own θc and slices the selected
+    // pool entries into the subQs' θp and θs copies: re-scoring the
+    // configuration reproduces the point exactly (same summation order).
+    val front = Hmooc.solve(qm, Settings(nInitC = 16, nClusters = 4, nPool = 24, nEnrich = 8)).front
+    assert(front.map(_.payload.cU.toSeq).distinct.size > 1, "front points share one θc")
+    front.foreach { sol =>
+      val fc = sol.payload
+      assert(fc.m == qm.m)
+      (0 until fc.m).foreach(i => assert(fc.pU(i).length == SparkParams.dP && fc.sU(i).length == SparkParams.dS))
+      val objs = Vector.tabulate(fc.m)(i => qm.subQObjectives(i, fc.unit19(i), fc.thetaC))
+      assert((objs.map(_._1).sum, objs.map(_._2).sum) == (sol.f1, sol.f2))
     }
   }
 
@@ -136,7 +161,7 @@ class HmoocSpec extends AnyFunSuite {
 
   // ---- end-to-end solve on a (random-model) query -----------------------
 
-  private lazy val qm = new QueryModels(TpchLite.queries(2), TestModels.untrained(), ClusterSpec.default)
+  private lazy val qm = new QueryModels(WorkloadGen.queries("tpch")(2), TestModels.untrained(), ClusterSpec.default)
 
   test("solve returns a non-empty, non-dominated front") {
     val r = Hmooc.solve(qm, Settings(nInitC = 16, nClusters = 4, nPool = 24, nEnrich = 8))
@@ -164,16 +189,17 @@ class HmoocSpec extends AnyFunSuite {
   }
 
   test("HMOOC1's hypervolume dominates the approximations'") {
-    def hv(agg: Aggregation): Double = {
-      val f = Hmooc.solve(qm,
-        Settings(nInitC = 12, nClusters = 3, nPool = 16, nEnrich = 4, aggregation = agg))
-        .front.map(s => (s.f1, s.f2))
-      val ref = (f.map(_._1).max * 2, f.map(_._2).max * 2)
-      Pareto.hypervolume(f, ref)
+    forAllSeeds(25) { rnd =>
+      val cand = randomCand(rnd, m = 2 + rnd.nextInt(3), perSubQ = 2 + rnd.nextInt(4))
+      val fronts = Vector(aggregateDivide(cand), aggregateBoundary(cand), aggregateWs(cand, nWeights = 7))
+        .map(_.map(s => (s.f1, s.f2)))
+      // One reference point for all three, beyond every variant's points.
+      val ref = (1.1 * fronts.flatten.map(_._1).max, 1.1 * fronts.flatten.map(_._2).max)
+      val hv = fronts.map(Pareto.hypervolume(_, ref))
+      // Prop B.1: HMOOC1 returns the exact front, so no subset beats it.
+      assert(hv(0) >= hv(1) * (1 - 1e-9), s"HMOOC1 ${hv(0)} < HMOOC3 ${hv(1)}")
+      assert(hv(0) >= hv(2) * (1 - 1e-9), s"HMOOC1 ${hv(0)} < HMOOC2 ${hv(2)}")
     }
-    // Not strictly comparable through the shared ref point, but HMOOC1 must
-    // not lose to HMOOC3 on its own front.
-    assert(hv(DivideAndConquer) > 0 && hv(Boundary) > 0 && hv(WsApprox) > 0)
   }
 
   test("recommendation adapts to the preference weights") {

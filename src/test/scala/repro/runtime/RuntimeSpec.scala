@@ -5,12 +5,12 @@ import repro.cluster.{ClusterSpec, CostModel, RuntimeHooks, Simulator}
 import repro.model.{QueryModels, TestModels}
 import repro.moo.FineConfig
 import repro.params.{SparkParams, ThetaP, ThetaS}
-import repro.workload.{JoinAlgo, QueryGraph, SubQ, TpchLite}
+import repro.workload.{JoinAlgo, QueryGraph, SubQ, WorkloadGen}
 import scala.util.Random
 
 /** θp/θs aggregation (§C.2.1) and the runtime optimizer hooks (§5.2). */
 class RuntimeSpec extends AnyFunSuite {
-  private val g = TpchLite.queries(8) // Q9, 12 subQs
+  private val g = WorkloadGen.queries("tpch")(8) // Q9, 12 subQs
   private val rnd = new Random(12)
 
   private def randomFine(): FineConfig = FineConfig(
@@ -51,7 +51,7 @@ class RuntimeSpec extends AnyFunSuite {
   }
 
   test("aggregation with no joins falls back to the defaults for thresholds") {
-    val q1 = TpchLite.queries(0)
+    val q1 = WorkloadGen.queries("tpch")(0)
     val fc = FineConfig(
       Array.fill(SparkParams.dC)(0.5),
       Vector.fill(q1.numSubQs)(Array.fill(SparkParams.dP)(0.9)),
@@ -62,7 +62,7 @@ class RuntimeSpec extends AnyFunSuite {
 
   test("aggregation rejects configurations of the wrong arity") {
     val fc = randomFine()
-    intercept[IllegalArgumentException](ThetaAggregator.aggregateP(TpchLite.queries(0), fc))
+    intercept[IllegalArgumentException](ThetaAggregator.aggregateP(WorkloadGen.queries("tpch")(0), fc))
   }
 
   // ---- runtime optimizer -------------------------------------------------

@@ -27,12 +27,12 @@ class WorkloadSpec extends AnyFunSuite {
     }
   }
 
-  TpchLite.queries.foreach { g =>
+  WorkloadGen.queries("tpch").foreach { g =>
     test(s"${g.name} is a valid query graph") { checkGraph(g) }
   }
 
   test("TPC-H has 22 queries with subQ counts matching the table counts") {
-    val qs = TpchLite.queries
+    val qs = WorkloadGen.queries("tpch")
     assert(qs.size == 22)
     // t tables -> t scans + (t-1) joins + 1 aggregate = 2t subQs.
     assert(qs(0).numSubQs == 2)  // Q1: single table
@@ -41,7 +41,7 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("TPC-H scan sizes reflect SF=100 table sizes") {
-    val q1 = TpchLite.queries(0)
+    val q1 = WorkloadGen.queries("tpch")(0)
     val scan = q1.subQs.find(_.isScan).get
     assert(scan.baseTable.contains("lineitem"))
     assert(scan.trueInputBytes <= TpchLite.lineitem.bytes)
@@ -55,37 +55,37 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("parametric variants differ from the base query but keep its shape") {
-    val base = TpchLite.queries(8)
+    val base = WorkloadGen.queries("tpch")(8)
     val v = TraceGen.graphOf("tpch", 8, 3)
     assert(v.numSubQs == base.numSubQs)
     assert(v.subQs.map(_.trueOutBytes) != base.subQs.map(_.trueOutBytes))
   }
 
-  TpcdsLite.queries.zipWithIndex.collect { case (g, i) if i % 6 == 0 =>
+  WorkloadGen.queries("tpcds").zipWithIndex.collect { case (g, i) if i % 6 == 0 =>
     test(s"${g.name} is a valid query graph") { checkGraph(g) }
   }
 
   test("TPC-DS has 102 queries, all structurally valid") {
-    val qs = TpcdsLite.queries
+    val qs = WorkloadGen.queries("tpcds")
     assert(qs.size == 102)
     qs.foreach(checkGraph)
   }
 
   test("TPC-DS plans reach the paper's complexity (up to ~47 subQs)") {
-    val sizes = TpcdsLite.queries.map(_.numSubQs)
+    val sizes = WorkloadGen.queries("tpcds").map(_.numSubQs)
     assert(sizes.max >= 30, s"largest TPC-DS plan only ${sizes.max} subQs")
     assert(sizes.max <= 50)
     assert(sizes.min >= 3)
   }
 
   test("TPC-DS plans are larger than TPC-H plans on average") {
-    val h = TpchLite.queries.map(_.numSubQs).sum.toDouble / 22
-    val ds = TpcdsLite.queries.map(_.numSubQs).sum.toDouble / 102
+    val h = WorkloadGen.queries("tpch").map(_.numSubQs).sum.toDouble / 22
+    val ds = WorkloadGen.queries("tpcds").map(_.numSubQs).sum.toDouble / 102
     assert(ds > h)
   }
 
   test("deep join outputs are systematically underestimated (CBO bias)") {
-    val deepJoins = (TpchLite.queries ++ TpcdsLite.queries)
+    val deepJoins = (WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds"))
       .flatMap(_.subQs).filter(s => s.isJoin && s.joinDepth >= 3)
     val underCount = deepJoins.count(_.cardErrFactor < 1.0)
     assert(underCount.toDouble / deepJoins.size > 0.6,
@@ -93,12 +93,12 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("scan estimates are nearly exact") {
-    val scans = TpchLite.queries.flatMap(_.subQs).filter(_.isScan)
+    val scans = WorkloadGen.queries("tpch").flatMap(_.subQs).filter(_.isScan)
     scans.foreach(s => assert(s.cardErrFactor > 0.7 && s.cardErrFactor < 1.4))
   }
 
   test("join outputs appear as build sides (the Fig 3b risk shape)") {
-    val graphs = TpchLite.queries ++ TpcdsLite.queries
+    val graphs = WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")
     val risky = graphs.count { g =>
       g.subQs.exists { s =>
         s.isJoin && {
@@ -111,7 +111,7 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("estOut applies the cardinality-error factor") {
-    val g = TpchLite.queries(8)
+    val g = WorkloadGen.queries("tpch")(8)
     g.subQs.foreach { s =>
       assert(s.estOutBytes == math.max(1L, (s.trueOutBytes * s.cardErrFactor).toLong))
       assert(s.estOutRows == math.max(1L, (s.trueOutRows * s.cardErrFactor).toLong))
@@ -133,7 +133,7 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("totalScanBytes sums scan inputs only") {
-    val g = TpchLite.queries(2)
+    val g = WorkloadGen.queries("tpch")(2)
     assert(g.totalScanBytes == g.subQs.filter(_.isScan).map(_.trueInputBytes).sum)
   }
 }
