@@ -128,9 +128,8 @@ object CostModel {
   /** Full cost of a stage.
     *
     * @param sub           the subQ being executed
-    * @param inputs        per-input statistics (2 entries for joins, build
-    *                      side last; 1+ otherwise); caller chooses estimated
-    *                      or true stats
+    * @param inputs        per-input true statistics (2 entries for joins,
+    *                      build side last; 1+ otherwise)
     * @param readModes     one mode per input
     * @param algo          join algorithm if this is a join stage
     * @param writesShuffle whether the stage writes its output to an exchange
@@ -147,12 +146,8 @@ object CostModel {
       s: ThetaS): StageCost = {
     require(inputs.nonEmpty && inputs.size == readModes.size, "inputs/readModes mismatch")
     val totalInMb = inputs.map(_.mb).sum
-    // When the caller passes estimated inputs, scale the stage output
-    // proportionally so the compile-time view is self-consistent.
-    val inScale = math.min(10.0, math.max(0.1,
-      totalInMb / math.max(1e-6, sub.trueInputBytes / 1048576.0)))
-    val outMb   = sub.trueOutBytes / 1048576.0 * inScale
-    val outRows = math.max(1.0, sub.trueOutRows.toDouble * inScale)
+    val outMb     = sub.trueOutBytes / 1048576.0
+    val outRows   = math.max(1.0, sub.trueOutRows.toDouble)
 
     val partitions = algo match {
       case Some(JoinAlgo.BHJ) if readModes.head == ReadMode.Pipelined =>

@@ -14,7 +14,11 @@ final case class StageExec(
     siblingCount: Int,
     siblingWorkSec: Double)
 
-/** Execution record of one query run. */
+/** Execution record of one query run.
+  *
+  * The naive request counts are what AQE would send without the pruning
+  * rules of §C.2.2: one collapsed-plan and one query-stage request per stage.
+  */
 final case class QueryExec(
     name: String,
     stages: Vector[StageExec],
@@ -22,11 +26,11 @@ final case class QueryExec(
     analyticalSec: Double,
     ioMb: Double,
     costUsd: Double,
-    lqpRequestsNaive: Int,
     lqpRequestsSent: Int,
-    qsRequestsNaive: Int,
-    qsRequestsSent: Int,
-    joinAlgos: Map[Int, JoinAlgo])
+    qsRequestsSent: Int) {
+  def lqpRequestsNaive: Int = stages.size
+  def qsRequestsNaive: Int = stages.size
+}
 
 /** Runtime-optimization hook points — the two request types of Fig 2.
   *
@@ -62,20 +66,14 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
   def trueOut(g: QueryGraph): Map[Int, SideStats] =
     g.subQs.map(s => s.id -> SideStats(s.trueOutBytes, s.trueOutRows)).toMap
 
-  /** CBO-estimated output statistics per subQ (the compile-time view). */
-  def estOut(g: QueryGraph): Map[Int, SideStats] =
-    g.subQs.map(s => s.id -> SideStats(s.estOutBytes, s.estOutRows)).toMap
-
   /** Compile-time physical plan: one join algorithm per join stage, chosen
     * from *estimated* statistics under that subQ's `θp` copy.
     */
-  def compilePlan(g: QueryGraph, thetaPFor: SubQ => ThetaP): Map[Int, JoinAlgo] = {
-    val est = estOut(g)
+  def compilePlan(g: QueryGraph, thetaPFor: SubQ => ThetaP): Map[Int, JoinAlgo] =
     g.subQs.filter(_.isJoin).map { sub =>
-      val (_, build) = g.probeBuild(sub, est(_).bytes)
-      sub.id -> JoinAlgo.choose(est(build).mb, thetaPFor(sub))
+      val (_, build) = g.probeBuild(sub, g.subQs(_).estOutBytes)
+      sub.id -> JoinAlgo.choose(g.subQs(build).estOutBytes / 1048576.0, thetaPFor(sub))
     }.toMap
-  }
 
   /** Runtime upgrade rule: SMJ may become SHJ or BHJ; SHJ and BHJ stick. */
   def runtimeAlgo(compiled: JoinAlgo, trueBuildMb: Double, p: ThetaP): JoinAlgo =
@@ -83,15 +81,6 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
       case JoinAlgo.SMJ => JoinAlgo.choose(trueBuildMb, p)
       case other        => other
     }
-
-  /** Topological level of each subQ (children always at lower levels). */
-  def levels(g: QueryGraph): Map[Int, Int] = {
-    val lv = Array.fill(g.numSubQs)(0)
-    g.subQs.foreach { s =>
-      lv(s.id) = if (s.children.isEmpty) 0 else s.children.map(lv).max + 1
-    }
-    lv.zipWithIndex.map { case (l, i) => i -> l }.toMap
-  }
 
   /** Execute `g` under context `θc`, a compiled plan, and initial `θp`/`θs`.
     *
@@ -110,10 +99,8 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
       hooks: Option[RuntimeHooks],
       noiseSeed: Long = -1L): QueryExec = {
 
-    val cores   = math.min(c.totalCores, spec.totalCores)
-    val out     = trueOut(g)
-    val lv      = levels(g)
-    val byLevel = g.subQs.groupBy(s => lv(s.id)).toVector.sortBy(_._1)
+    val cores = math.min(c.totalCores, spec.totalCores)
+    val out   = trueOut(g)
 
     val rnd = if (noiseSeed >= 0) Some(new Random(noiseSeed)) else None
     def noise(): Double = rnd.map(r => math.exp(r.nextGaussian() * 0.06)).getOrElse(1.0)
@@ -123,11 +110,10 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
     // (the price of asking for a large context on a short query).
     var wall = spec.contextStartupSec + spec.execStartupSec * c.execInstances
     var analytical = 0.0; var io = 0.0
-    var lqpSent = 0; var qsSent = 0; var qsNaive = 0
+    var lqpSent = 0; var qsSent = 0
     val stageExecs = Vector.newBuilder[StageExec]
-    val finalAlgos = collection.mutable.Map[Int, JoinAlgo]()
 
-    byLevel.foreach { case (_, subs) =>
+    g.levels.foreach { subs =>
       // --- Collapsed-plan (LQP) optimization request, with pruning rules:
       // only when this level plans a join (skip non-join re-optimizations)
       // and all the joins' input statistics are available (true here, since
@@ -140,19 +126,27 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
       }
 
       val costs = subs.map { sub =>
-        val algo = if (sub.isJoin) {
-          val (_, build) = g.probeBuild(sub, out(_).bytes)
-          val a = runtimeAlgo(compiled(sub.id), out(build).mb, thetaP)
-          finalAlgos(sub.id) = a
-          Some(a)
-        } else None
+        // The stage's true inputs (a join's build side last), how it reads
+        // each, and its runtime join algorithm. A compiled BHJ pipelines its
+        // probe side; a runtime BHJ reads it from local shuffle files.
+        val (inputs, modes, algo) =
+          if (sub.isScan)
+            (Vector(SideStats(sub.trueInputBytes, sub.trueInputRows)), Vector(ReadMode.Table), None)
+          else if (sub.isJoin) {
+            val (probe, build) = g.probeBuild(sub, out(_).bytes)
+            val planned = compiled(sub.id)
+            val a = runtimeAlgo(planned, out(build).mb, thetaP)
+            val probeMode =
+              if (planned == JoinAlgo.BHJ) ReadMode.Pipelined
+              else if (a == JoinAlgo.BHJ) ReadMode.LocalShuffle
+              else ReadMode.Shuffle
+            (Vector(out(probe), out(build)), Vector(probeMode, ReadMode.Shuffle), Some(a))
+          } else
+            (sub.children.map(out), sub.children.map(_ => ReadMode.Shuffle), None)
 
         // --- Query-stage (QS) optimization request, with pruning rules:
         // skip scan stages and stages smaller than the advisory size.
-        val inputMb =
-          if (sub.isScan) sub.trueInputBytes / 1048576.0
-          else sub.children.map(ch => out(ch).mb).sum
-        qsNaive += 1
+        val inputMb = inputs.map(_.mb).sum
         val thetaS = hooks match {
           case Some(h) if !sub.isScan && inputMb > thetaP.advisoryPartitionMb =>
             qsSent += 1
@@ -160,33 +154,20 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
           case _ => s0
         }
 
-        val (inputs, modes) =
-          if (sub.isScan)
-            (Vector(SideStats(sub.trueInputBytes, sub.trueInputRows)), Vector(ReadMode.Table: ReadMode))
-          else if (sub.isJoin) {
-            val (probe, build) = g.probeBuild(sub, out(_).bytes)
-            val probeMode: ReadMode =
-              if (compiled.get(sub.id).contains(JoinAlgo.BHJ)) ReadMode.Pipelined
-              else if (algo.contains(JoinAlgo.BHJ)) ReadMode.LocalShuffle
-              else ReadMode.Shuffle
-            (Vector(out(probe), out(build)), Vector(probeMode, ReadMode.Shuffle: ReadMode))
-          } else
-            (sub.children.map(out), sub.children.map(_ => ReadMode.Shuffle: ReadMode))
-
         // A child skips its shuffle write iff its parent join was compiled BHJ.
         val writes = g.writesShuffle(sub.id, compiled.get)
         val cost = CostModel.stageCost(spec, sub, inputs, modes, algo, writes, c, thetaP, thetaS)
         val f = noise()
-        (sub, cost.copy(workCoreSec = cost.workCoreSec * f, maxTaskSec = cost.maxTaskSec * f))
+        (sub, algo, cost.copy(workCoreSec = cost.workCoreSec * f, maxTaskSec = cost.maxTaskSec * f))
       }
 
       // Stages at the same level share the cluster: wall time is bounded by
       // total work over the cores and by the slowest task (plus skew).
-      val levelWork  = costs.map(_._2.workCoreSec).sum
-      val levelMax   = costs.map(_._2.maxTaskSec).max
-      val levelTasks = costs.map(_._2.partitions).sum
-      val levelExtra = costs.map(_._2.wallExtraSec).sum
-      val levelIoMb  = costs.map(_._2.ioMb).sum
+      val levelWork  = costs.map(_._3.workCoreSec).sum
+      val levelMax   = costs.map(_._3.maxTaskSec).max
+      val levelTasks = costs.map(_._3.partitions).sum
+      val levelExtra = costs.map(_._3.wallExtraSec).sum
+      val levelIoMb  = costs.map(_._3.ioMb).sum
       // Compute-bound time, bounded below by the slowest task and by the
       // cluster's aggregate IO bandwidth (cores cannot buy bandwidth).
       val levelWall = spec.stageLaunchSec +
@@ -195,7 +176,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
         levelTasks * spec.taskOverheadSec / cores + levelExtra
 
       wall += levelWall
-      io += costs.map(_._2.ioMb).sum
+      io += levelIoMb
 
       // Analytical latency (§4.2): Σ task work / total cores — but bounded
       // below per stage by its slowest task (skew and partition starvation
@@ -203,11 +184,11 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
       // broadcast wall time.
       def stageAnalytical(cost: CostModel.StageCost): Double =
         math.max(cost.workCoreSec / cores, cost.maxTaskSec) + cost.wallExtraSec
-      analytical += costs.map(c => stageAnalytical(c._2)).sum
+      analytical += costs.map(c => stageAnalytical(c._3)).sum
 
-      costs.foreach { case (sub, cost) =>
+      costs.foreach { case (sub, algo, cost) =>
         stageExecs += StageExec(
-          subQId = sub.id, algo = finalAlgos.get(sub.id),
+          subQId = sub.id, algo = algo,
           analyticalSec = stageAnalytical(cost),
           ioMb = cost.ioMb,
           siblingCount = subs.size - 1,
@@ -218,9 +199,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
     QueryExec(
       name = g.name, stages = stageExecs.result(),
       wallSec = wall, analyticalSec = analytical, ioMb = io, costUsd = spec.costUsd(c, wall, io),
-      lqpRequestsNaive = g.numSubQs, lqpRequestsSent = lqpSent,
-      qsRequestsNaive = qsNaive, qsRequestsSent = qsSent,
-      joinAlgos = finalAlgos.toMap)
+      lqpRequestsSent = lqpSent, qsRequestsSent = qsSent)
   }
 
   /** Plain Spark behaviour: compile with one `θp` copy on estimates, then

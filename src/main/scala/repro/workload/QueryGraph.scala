@@ -109,8 +109,21 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
     s"$name: subQ ids must equal positions")
   require(subQs.forall(s => s.children.forall(c => c >= 0 && c < s.id)),
     s"$name: children must precede parents (topological order)")
+  require(subQs.forall(s => !s.isScan || s.children.isEmpty),
+    s"$name: a scan stage must not read other stages")
+  require(subQs.forall(s => !s.isJoin || s.children.size == 2),
+    s"$name: a join stage must read exactly two stages")
 
   def numSubQs: Int = subQs.size
+
+  /** The stage schedule: childless stages (the scans) at level 0, every
+    * other subQ one level above its deepest child; ids ascend within a level.
+    */
+  lazy val levels: Vector[Vector[SubQ]] = {
+    val lv = new Array[Int](numSubQs)
+    subQs.foreach(s => lv(s.id) = s.children.map(lv(_) + 1).maxOption.getOrElse(0))
+    Vector.tabulate(lv.max + 1)(l => subQs.filter(s => lv(s.id) == l))
+  }
 
   /** The subQ that reads each subQ's output; sinks have none. */
   lazy val parentOf: Map[Int, Int] = subQs.flatMap(s => s.children.map(_ -> s.id)).toMap

@@ -1,8 +1,8 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.params.{Configuration, ThetaP, ThetaS}
-import repro.workload.{JoinAlgo, WorkloadGen}
+import repro.params.{Configuration, Sampling, SparkParams, ThetaP, ThetaS}
+import repro.workload.{JoinAlgo, PerturbTruth, WorkloadGen}
 import repro.cluster.CostModel.SideStats
 
 /** The AQE execution loop: planning, runtime upgrades, scheduling, costs. */
@@ -11,6 +11,7 @@ class SimulatorSpec extends AnyFunSuite {
   private val q3 = WorkloadGen.queries("tpch")(2)
   private val q9 = WorkloadGen.queries("tpch")(8)
   private val dflt = Configuration.default
+  private val canonical = WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")
 
   test("execution is deterministic without noise") {
     val a = sim.runStatic(q9, dflt)
@@ -28,8 +29,14 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("levels respect stage dependencies") {
-    val lv = sim.levels(q9)
-    q9.subQs.foreach(s => s.children.foreach(c => assert(lv(c) < lv(s.id))))
+    canonical.foreach { g =>
+      val levelOf = g.levels.zipWithIndex.flatMap { case (subs, l) => subs.map(_.id -> l) }
+      assert(levelOf.map(_._1).sorted == g.subQs.map(_.id), s"${g.name}: not every subQ once")
+      assert(g.levels.head == g.subQs.filter(_.isScan), s"${g.name}: level 0 is not the scans")
+      val lv = levelOf.toMap
+      g.subQs.foreach(s => s.children.foreach(c => assert(lv(c) < lv(s.id), s"${g.name}: $c under ${s.id}")))
+      g.levels.foreach(subs => assert(subs.map(_.id) == subs.map(_.id).sorted, s"${g.name}: ids out of order"))
+    }
   }
 
   test("every stage executes exactly once") {
@@ -72,6 +79,18 @@ class SimulatorSpec extends AnyFunSuite {
   test("compilePlan decides every join from estimated statistics") {
     val plan = sim.compilePlan(q9, _ => ThetaP.default)
     assert(plan.keySet == q9.subQs.filter(_.isJoin).map(_.id).toSet)
+    // Different truth, same estimates: the compiled plan must not move,
+    // while the executed run (true statistics) does.
+    val thetaPs = ThetaP.default +:
+      Sampling.latinHypercube(6, SparkParams.dP, 11L).map(u => ThetaP.fromUnit(u))
+    var runsDiffer = 0
+    canonical.zipWithIndex.foreach { case (g, i) =>
+      val h = PerturbTruth(g, seed = i)
+      assert(h.subQs.map(s => (s.estOutBytes, s.estOutRows)) == g.subQs.map(s => (s.estOutBytes, s.estOutRows)))
+      thetaPs.foreach(p => assert(sim.compilePlan(h, _ => p) == sim.compilePlan(g, _ => p), g.name))
+      if (sim.runStatic(h, dflt).wallSec != sim.runStatic(g, dflt).wallSec) runsDiffer += 1
+    }
+    assert(runsDiffer > canonical.size / 2, s"truth moved only $runsDiffer runs")
   }
 
   test("s4 = 0 forces sort-merge joins at compile time") {
@@ -94,7 +113,7 @@ class SimulatorSpec extends AnyFunSuite {
     val compiled = sim.compilePlan(q9, _ => p0) // all SMJ
     // At runtime, the default thresholds re-enable BHJ for small true sides.
     val e = sim.execute(q9, dflt.c, compiled, ThetaP.default, ThetaS.default, None)
-    assert(e.joinAlgos.values.exists(_ == JoinAlgo.BHJ))
+    assert(e.stages.flatMap(_.algo).contains(JoinAlgo.BHJ))
   }
 
   test("a compiled BHJ skips the children's shuffle writes (less IO)") {
@@ -141,8 +160,7 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("estOut differs from trueOut where estimates drift") {
-    val est = sim.estOut(q9); val tru = sim.trueOut(q9)
-    assert(q9.subQs.exists(s => est(s.id).bytes != tru(s.id).bytes))
+    assert(q9.subQs.exists(s => s.estOutBytes != s.trueOutBytes))
   }
 
   test("no hooks means no optimization requests are sent") {

@@ -8,7 +8,7 @@ import repro.model.{QueryModels, TestModels}
 import repro.moo.Hmooc._
 import repro.moo.Pareto.Sol
 import repro.params.SparkParams
-import repro.workload.WorkloadGen
+import repro.workload.{PerturbTruth, QueryGraph, WorkloadGen}
 
 /** HMOOC: effective-set generation, the three DAG aggregations, and the
   * formal guarantees of §5.1 / Appendix B.
@@ -199,6 +199,19 @@ class HmoocSpec extends AnyFunSuite {
       // Prop B.1: HMOOC1 returns the exact front, so no subset beats it.
       assert(hv(0) >= hv(1) * (1 - 1e-9), s"HMOOC1 ${hv(0)} < HMOOC3 ${hv(1)}")
       assert(hv(0) >= hv(2) * (1 - 1e-9), s"HMOOC1 ${hv(0)} < HMOOC2 ${hv(2)}")
+    }
+  }
+
+  test("solve sees only estimates: perturbed truth leaves the front unchanged") {
+    val models = TestModels.untrained()
+    val settings = Settings(nInitC = 12, nClusters = 3, nPool = 16, nEnrich = 4)
+    Seq(2, 4, 8).foreach { t =>
+      val g = WorkloadGen.queries("tpch")(t)
+      val h = PerturbTruth(g, seed = t)
+      assert(h.subQs.map(_.trueOutBytes) != g.subQs.map(_.trueOutBytes), s"${g.name}: truth unchanged")
+      def front(q: QueryGraph) =
+        Hmooc.solve(new QueryModels(q, models, ClusterSpec.default), settings).front.map(x => (x.f1, x.f2))
+      assert(front(h) == front(g), g.name)
     }
   }
 

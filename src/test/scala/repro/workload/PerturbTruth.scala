@@ -1,0 +1,31 @@
+package repro.workload
+
+import scala.util.Random
+
+/** A copy of a query graph with different true statistics but bit-identical
+  * CBO estimates — the fixture for checking that a compile-time decision
+  * reads estimates only.
+  */
+object PerturbTruth {
+
+  /** Multiplies each subQ's true output bytes and rows by 2^k, k ∈ {0..3}
+    * drawn from `seed`, divides its `cardErrFactor` by the same power, and
+    * re-derives every non-scan stage's true input from its children. Scaling
+    * by a power of two only upward keeps `estOutBytes`/`estOutRows` exact.
+    */
+  def apply(g: QueryGraph, seed: Long): QueryGraph = {
+    val rnd = new Random(seed)
+    val scaled = g.subQs.map { s =>
+      val f = 1L << rnd.nextInt(4)
+      s.copy(trueOutBytes = s.trueOutBytes * f, trueOutRows = s.trueOutRows * f,
+        cardErrFactor = s.cardErrFactor / f)
+    }
+    g.copy(subQs = scaled.map { s =>
+      if (s.isScan) s
+      else {
+        val kids = s.children.map(scaled)
+        s.copy(trueInputBytes = kids.map(_.trueOutBytes).sum, trueInputRows = kids.map(_.trueOutRows).sum)
+      }
+    })
+  }
+}

@@ -132,6 +132,22 @@ class WorkloadSpec extends AnyFunSuite {
     }
   }
 
+  private def scan(id: Int) =
+    SubQ(id, Vector(OpType.Scan), Vector.empty, Some("t"), 1, 1, 1, 1, 1.0, 1.0, 0)
+
+  test("QueryGraph rejects a scan stage that reads other stages") {
+    val e = intercept[IllegalArgumentException] {
+      QueryGraph("bad-scan", Vector(scan(0), scan(1).copy(children = Vector(0))))
+    }
+    assert(e.getMessage.contains("bad-scan"))
+  }
+
+  test("QueryGraph rejects a join stage without exactly two inputs") {
+    val join = SubQ(1, Vector(OpType.Join), Vector(0), None, 1, 1, 1, 1, 1.0, 1.0, 1)
+    val e = intercept[IllegalArgumentException](QueryGraph("bad-join", Vector(scan(0), join)))
+    assert(e.getMessage.contains("bad-join"))
+  }
+
   test("totalScanBytes sums scan inputs only") {
     val g = WorkloadGen.queries("tpch")(2)
     assert(g.totalScanBytes == g.subQs.filter(_.isScan).map(_.trueInputBytes).sum)
