@@ -42,6 +42,11 @@ final case class ClusterSpec(
     */
   def clusterIoMbPerSec: Double = nodes * nodeIoMbPerSec
 
+  /** Spark-context bring-up time under `θc`: scheduler start plus one
+    * launch per executor (the price of a large context on a short query).
+    */
+  def startupSec(c: ThetaC): Double = contextStartupSec + execStartupSec * c.execInstances
+
   /** Cloud cost (§3.3.2) in USD of holding `θc`'s resources for `latSec`
     * while moving `ioMb`: CPU-hours + memory-hours + IO. The simulator
     * bills executed runs and the models price predictions with it.

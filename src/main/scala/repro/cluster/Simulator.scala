@@ -106,9 +106,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
     def noise(): Double = rnd.map(r => math.exp(r.nextGaussian() * 0.06)).getOrElse(1.0)
 
     var thetaP = p0
-    // Spark-context construction: scheduler bring-up plus executor launches
-    // (the price of asking for a large context on a short query).
-    var wall = spec.contextStartupSec + spec.execStartupSec * c.execInstances
+    var wall = spec.startupSec(c)
     var analytical = 0.0; var io = 0.0
     var lqpSent = 0; var qsSent = 0
     val stageExecs = Vector.newBuilder[StageExec]

@@ -92,11 +92,8 @@ object ExperimentContext {
   /** Build (or fetch) the context for `bench`, training models on demand. */
   def forBench(spark: SparkSession, bench: String): BenchContext = synchronized {
     contexts.getOrElseUpdate(bench, {
-      val t0 = System.nanoTime()
       val (models, report) =
         Trainer.train(spark, bench, Calibration.trainRuns(bench), epochs = Calibration.epochs)
-      Console.err.println(
-        f"[ExperimentContext] trained $bench models in ${(System.nanoTime() - t0) / 1e9}%.1f s")
       new BenchContext(bench, models, report, ClusterSpec.default)
     })
   }

@@ -53,7 +53,7 @@ object Features {
       writesShuffle: Boolean,
       inMb: Double,
       unit19: Array[Double]): Array[Double] =
-    hints(algoCode, isScan, writesShuffle, inMb, Configuration.fromUnit(unit19.toIndexedSeq))
+    hints(algoCode, isScan, writesShuffle, inMb, Configuration.fromUnit(unit19))
 
   private[model] def hints(
       algoCode: Int,
@@ -132,7 +132,7 @@ final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
     Features.hints(algoCode, g.subQs(i).isScan, writesShuffle(i, conf.p), in.inMb, conf)
 
   private def subQView(i: Int, in: Input, unit19: Array[Double]): Array[Double] = {
-    val conf = Configuration.fromUnit(unit19.toIndexedSeq)
+    val conf = Configuration.fromUnit(unit19)
     Array.concat(in.subQPrefix, unit19, hints(i, JoinAlgo.code(algo(i, in.buildMb, conf.p)), in, conf))
   }
 
@@ -149,7 +149,7 @@ final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
     */
   def qs(i: Int, unit19: Array[Double], algoCode: Int, gammaSiblings: Double, gammaWork: Double): Array[Double] = {
     import SparkParams.{dC, dP, dAll}
-    val conf = Configuration.fromUnit(unit19.toIndexedSeq)
+    val conf = Configuration.fromUnit(unit19)
     Array.concat(tru(i).prefix(gammaSiblings, gammaWork),
       unit19.slice(0, dC), unit19.slice(dC + dP, dAll), hints(i, algoCode, tru(i), conf))
   }

@@ -72,8 +72,7 @@ final class QueryModels(val g: QueryGraph, val models: Models, val spec: Cluster
     * whole-query constant spread over the `m` subQs so that the Λ = sum
     * aggregation charges it exactly once).
     */
-  def startupShareSec(c: ThetaC): Double =
-    (spec.contextStartupSec + spec.execStartupSec * c.execInstances) / m
+  def startupShareSec(c: ThetaC): Double = spec.startupSec(c) / m
 
   /** Objectives of subQ `i` under a configuration (compile-time view). */
   def subQObjectives(i: Int, unit19: Array[Double], c: ThetaC): (Double, Double) = {

@@ -96,8 +96,7 @@ object Trainer {
       }
       val scaled = split.trainY.map(y => Array((y(0) - mean(0)) / std(0), (y(1) - mean(1)) / std(1)))
       val mlp = new Mlp(Array(split.trainX.head.length, 128, 128, 2), s)
-      val loss = mlp.train(split.trainX, scaled, epochs, lr = 2e-3)
-      Console.err.println(f"[Trainer] $bench model(in=${split.trainX.head.length}, n=${split.trainX.length}) final train MSE=$loss%.4f")
+      mlp.train(split.trainX, scaled, epochs, lr = 2e-3)
       RegModel(mlp, mean, std)
     }
 

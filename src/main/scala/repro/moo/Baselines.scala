@@ -32,7 +32,7 @@ object Baselines {
     val t0 = System.nanoTime()
     val samples = Sampling.latinHypercube(nSamples, SparkParams.dAll, seed)
       .map(u => Sampling.refine(u).toArray)
-    val objs = samples.map(u => qm.queryObjectives(u, ThetaC.fromUnit(u.slice(0, SparkParams.dC).toVector)))
+    val objs = samples.map(u => qm.queryObjectives(u, ThetaC.fromUnit(u.slice(0, SparkParams.dC))))
 
     def argmin(w: (Double, Double)): Sol[FineConfig] = {
       val idx = objs.indices.minBy(i => w._1 * objs(i)._1 + w._2 * objs(i)._2)

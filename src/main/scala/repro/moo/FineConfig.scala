@@ -18,9 +18,9 @@ final case class FineConfig(
   /** Full 19-dim unit vector seen by subQ `i`. */
   def unit19(i: Int): Array[Double] = cU ++ pU(i) ++ sU(i)
 
-  def thetaC: ThetaC = ThetaC.fromUnit(cU.toVector)
-  def thetaP(i: Int): ThetaP = ThetaP.fromUnit(pU(i).toVector)
-  def thetaS(i: Int): ThetaS = ThetaS.fromUnit(sU(i).toVector)
+  def thetaC: ThetaC = ThetaC.fromUnit(cU)
+  def thetaP(i: Int): ThetaP = ThetaP.fromUnit(pU(i))
+  def thetaS(i: Int): ThetaS = ThetaS.fromUnit(sU(i))
 
   /** Collapse to a single-copy configuration using subQ 0's copies (only
     * valid for query-level solutions where all copies are identical).

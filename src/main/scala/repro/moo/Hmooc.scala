@@ -17,25 +17,19 @@ import repro.moo.Pareto.Sol
   *     `θc` population by crossover (Appendix C.1) and re-assign.
   *  2. *DAG aggregation*: recover query-level Pareto solutions from
   *     subQ-level ones; the DAG reduces to a list because both objectives
-  *     sum over subQs (§5.1.2). Three variants: exact divide-and-conquer
-  *     (HMOOC1), weighted-sum approximation (HMOOC2), and boundary-based
-  *     approximation via per-`θc` extreme points (HMOOC3).
+  *     sum over subQs (§5.1.2). `solve` runs the boundary-based
+  *     approximation via per-`θc` extreme points (HMOOC3); the exact
+  *     divide-and-conquer (HMOOC1) and weighted-sum approximation (HMOOC2)
+  *     are the other two aggregators, whose guarantees the tests check.
   *  3. *WUN recommendation* (via [[MooResult.recommend]]).
   */
 object Hmooc {
-
-  /** Aggregation variant selector. */
-  sealed trait Aggregation
-  case object DivideAndConquer extends Aggregation // HMOOC1
-  case object WsApprox         extends Aggregation // HMOOC2
-  case object Boundary         extends Aggregation // HMOOC3
 
   final case class Settings(
       nInitC: Int = 96,
       nClusters: Int = 16,
       nPool: Int = 224,
       nEnrich: Int = 48,
-      aggregation: Aggregation = Boundary,
       seed: Long = 17L)
 
   /** One subQ-level solution: objectives + index into the θp⊕θs pool. */
@@ -130,7 +124,7 @@ object Hmooc {
     // 2. Per-representative θp⊕θs MOO (optimize_p_moo): Pareto-optimal pool
     // indices per (rep, subQ) — Proposition 5.1 justifies keeping only these.
     val repOpt: Vector[Vector[Vector[Int]]] = reps.map { rep =>
-      val cTheta = ThetaC.fromUnit(rep.toVector)
+      val cTheta = ThetaC.fromUnit(rep)
       val objs = Array.ofDim[(Double, Double)](m, pool.size)
       pool.indices.foreach { pi =>
         val unit19 = rep ++ pool(pi)
@@ -148,7 +142,7 @@ object Hmooc {
     def assignOptP(cands: Vector[Array[Double]]): Vector[CandSols] =
       cands.map { cU =>
         val r = nearest(reps, cU)
-        val cTheta = ThetaC.fromUnit(cU.toVector)
+        val cTheta = ThetaC.fromUnit(cU)
         CandSols(cU, Vector.tabulate(m) { i =>
           repOpt(r)(i).map { pi =>
             val (lat, cost) = qm.subQObjectives(i, cU ++ pool(pi), cTheta)
@@ -161,14 +155,9 @@ object Hmooc {
     val enriched = assignOptP(crossover(initC, s.nEnrich, s.seed + 3))
     val all = initial ++ enriched
 
-    // 3. DAG aggregation → query-level Pareto front, then its configurations.
+    // 3. DAG aggregation (HMOOC3) → query-level Pareto front, then its configurations.
     val points: Vector[Sol[(Array[Double], Vector[Int])]] = all.flatMap { cand =>
-      val sels = s.aggregation match {
-        case Boundary         => aggregateBoundary(cand)
-        case DivideAndConquer => aggregateDivide(cand)
-        case WsApprox         => aggregateWs(cand, 11) // MO-WS's 11 pairs
-      }
-      sels.map(sel => Sol(sel.f1, sel.f2, (cand.cU, sel.payload)))
+      aggregateBoundary(cand).map(sel => Sol(sel.f1, sel.f2, (cand.cU, sel.payload)))
     }
     val front = Pareto.skyline(points).map { case Sol(f1, f2, (cU, sel)) =>
       Sol(f1, f2, FineConfig(cU,

@@ -23,13 +23,16 @@ object SparkParams {
 
   /** One tunable parameter with an inclusive numeric domain.
     *
-    * @param name     the Spark conf key (documentation; the simulator and
-    *                 `ConfApplicator` interpret them)
+    * @param name     the Spark conf key; `ConfApplicator` sets the θp/θs keys
+    *                 on a live session, and the θc keys name the context
+    *                 settings the simulator models
     * @param lo       domain lower bound
     * @param hi       domain upper bound
     * @param integral whether values are rounded to integers when decoded
+    * @param bytes    whether the domain counts MB while Spark reads the conf
+    *                 in bytes
     */
-  final case class ParamDef(name: String, lo: Double, hi: Double, integral: Boolean) {
+  final case class ParamDef(name: String, lo: Double, hi: Double, integral: Boolean, bytes: Boolean = false) {
     require(hi > lo, s"degenerate domain for $name")
 
     /** Clamp and (for integral params) round a raw value into the domain. */
@@ -38,8 +41,13 @@ object SparkParams {
       if (integral) math.round(c).toDouble else c
     }
 
-    /** Map a unit-interval coordinate to a domain value. */
-    def fromUnit(u: Double): Double = clamp(lo + (hi - lo) * math.min(1.0, math.max(0.0, u)))
+    /** Map a unit-interval coordinate to a domain value. NaN is rejected:
+      * clamp would round it to 0 on an integral parameter.
+      */
+    def fromUnit(u: Double): Double = {
+      require(!u.isNaN, s"NaN coordinate for $name")
+      clamp(lo + (hi - lo) * math.min(1.0, math.max(0.0, u)))
+    }
 
     /** Map a domain value back to its unit-interval coordinate. */
     def toUnit(v: Double): Double = (clamp(v) - lo) / (hi - lo)
@@ -58,27 +66,28 @@ object SparkParams {
 
   // ---- θp: logical-plan parameters (s1..s9) --------------------------------
   val AdvisoryPartitionMb: ParamDef =
-    ParamDef("spark.sql.adaptive.advisoryPartitionSizeInBytes", 16, 256, integral = true)
+    ParamDef("spark.sql.adaptive.advisoryPartitionSizeInBytes", 16, 256, integral = true, bytes = true)
   val NonEmptyPartitionRatio: ParamDef =
     ParamDef("spark.sql.adaptive.nonEmptyPartitionRatioForBroadcastJoin", 0.01, 0.5, integral = false)
   val ShuffledHashThresholdMb: ParamDef =
-    ParamDef("spark.sql.adaptive.maxShuffledHashJoinLocalMapThreshold", 0, 512, integral = true)
+    ParamDef("spark.sql.adaptive.maxShuffledHashJoinLocalMapThreshold", 0, 512, integral = true, bytes = true)
   val BroadcastThresholdMb: ParamDef =
-    ParamDef("spark.sql.adaptive.autoBroadcastJoinThreshold", 0, 512, integral = true)
+    ParamDef("spark.sql.adaptive.autoBroadcastJoinThreshold", 0, 512, integral = true, bytes = true)
   val ShufflePartitions: ParamDef = ParamDef("spark.sql.shuffle.partitions", 20, 2000, integral = true)
   val SkewedPartitionThresholdMb: ParamDef =
-    ParamDef("spark.sql.adaptive.skewJoin.skewedPartitionThresholdInBytes", 64, 1024, integral = true)
+    ParamDef("spark.sql.adaptive.skewJoin.skewedPartitionThresholdInBytes", 64, 1024, integral = true, bytes = true)
   val SkewedPartitionFactor: ParamDef =
     ParamDef("spark.sql.adaptive.skewJoin.skewedPartitionFactor", 2, 10, integral = true)
   val MaxPartitionBytesMb: ParamDef =
-    ParamDef("spark.sql.files.maxPartitionBytes", 32, 512, integral = true)
-  val OpenCostMb: ParamDef = ParamDef("spark.sql.files.openCostInBytes", 2, 8, integral = true)
+    ParamDef("spark.sql.files.maxPartitionBytes", 32, 512, integral = true, bytes = true)
+  val OpenCostMb: ParamDef =
+    ParamDef("spark.sql.files.openCostInBytes", 2, 8, integral = true, bytes = true)
 
   // ---- θs: query-stage parameters (s10, s11) -------------------------------
   val SmallPartitionFactor: ParamDef =
     ParamDef("spark.sql.adaptive.rebalancePartitionsSmallPartitionFactor", 0.1, 0.5, integral = false)
   val MinPartitionSizeMb: ParamDef =
-    ParamDef("spark.sql.adaptive.coalescePartitions.minPartitionSize", 1, 64, integral = true)
+    ParamDef("spark.sql.adaptive.coalescePartitions.minPartitionSize", 1, 64, integral = true, bytes = true)
 
   val thetaCDefs: Vector[ParamDef] = Vector(
     ExecutorCores, ExecutorMemoryGb, ExecutorInstances, DefaultParallelism,
@@ -95,6 +104,30 @@ object SparkParams {
   val dP: Int = thetaPDefs.size // 9
   val dS: Int = thetaSDefs.size // 2
   val dAll: Int = dC + dP + dS  // 19
+}
+
+/** The unit⇄value codec of one θ block, driven by its parameter table:
+  * coordinate `i` maps through `defs(i)`. Each companion only builds its
+  * case class from the decoded values, in table order.
+  */
+sealed abstract class ThetaBlock[T](
+    private[params] val defs: Vector[SparkParams.ParamDef], label: String) {
+  /** The block's case class from domain values in table order. */
+  protected def build(v: Array[Double]): T
+
+  /** Decode exactly one unit coordinate per parameter of the block. */
+  def fromUnit(u: collection.IndexedSeq[Double]): T = {
+    require(u.size == defs.size, s"$label needs ${defs.size} coords, got ${u.size}")
+    decode(u, 0)
+  }
+
+  /** Decode the block's coordinates starting at `u(from)`. */
+  private[params] def decode(u: collection.IndexedSeq[Double], from: Int): T =
+    build(Array.tabulate(defs.size)(i => defs(i).fromUnit(u(from + i))))
+
+  /** Unit coordinates of domain `values` in table order. */
+  private[params] def toUnit(values: Vector[Double]): Vector[Double] =
+    defs.zip(values).map { case (d, v) => d.toUnit(v) }
 }
 
 /** Context parameters `θc` — one copy per query (set at submission time). */
@@ -123,11 +156,10 @@ final case class ThetaC(
     if (shuffleCompress) 1.0 else 0.0, memoryFraction)
 
   /** Unit coordinates of this copy, the inverse of [[ThetaC.fromUnit]]. */
-  def toUnit: Vector[Double] = SparkParams.thetaCDefs.zip(toVector).map { case (d, v) => d.toUnit(v) }
+  def toUnit: Vector[Double] = ThetaC.toUnit(toVector)
 }
 
-object ThetaC {
-  import SparkParams._
+object ThetaC extends ThetaBlock[ThetaC](SparkParams.thetaCDefs, "θc") {
 
   /** The cluster's out-of-the-box configuration used as the tuning
     * baseline — stock Spark asks for small executors (1g/1-core scale),
@@ -138,17 +170,8 @@ object ThetaC {
     defaultParallelism = 24, maxSizeInFlightMb = 48, bypassMergeThreshold = 200,
     shuffleCompress = true, memoryFraction = 0.6)
 
-  def fromVector(v: IndexedSeq[Double]): ThetaC = {
-    require(v.size == dC, s"θc needs $dC values, got ${v.size}")
-    ThetaC(
-      ExecutorCores.clamp(v(0)).toInt, ExecutorMemoryGb.clamp(v(1)).toInt,
-      ExecutorInstances.clamp(v(2)).toInt, DefaultParallelism.clamp(v(3)).toInt,
-      MaxSizeInFlightMb.clamp(v(4)).toInt, BypassMergeThreshold.clamp(v(5)).toInt,
-      ShuffleCompress.clamp(v(6)) >= 0.5, MemoryFraction.clamp(v(7)))
-  }
-
-  def fromUnit(u: IndexedSeq[Double]): ThetaC =
-    fromVector(thetaCDefs.zip(u).map { case (d, x) => d.fromUnit(x) })
+  protected def build(v: Array[Double]): ThetaC =
+    ThetaC(v(0).toInt, v(1).toInt, v(2).toInt, v(3).toInt, v(4).toInt, v(5).toInt, v(6) >= 0.5, v(7))
 }
 
 /** Logical-plan parameters `θp` — one copy per collapsed logical plan. */
@@ -169,11 +192,10 @@ final case class ThetaP(
     skewedPartitionFactor.toDouble, maxPartitionBytesMb.toDouble, openCostMb.toDouble)
 
   /** Unit coordinates of this copy, the inverse of [[ThetaP.fromUnit]]. */
-  def toUnit: Vector[Double] = SparkParams.thetaPDefs.zip(toVector).map { case (d, v) => d.toUnit(v) }
+  def toUnit: Vector[Double] = ThetaP.toUnit(toVector)
 }
 
-object ThetaP {
-  import SparkParams._
+object ThetaP extends ThetaBlock[ThetaP](SparkParams.thetaPDefs, "θp") {
 
   /** Spark's default values (10 MB broadcast, SHJ conversion off, 200 partitions). */
   val default: ThetaP = ThetaP(
@@ -182,18 +204,8 @@ object ThetaP {
     skewedPartitionThresholdMb = 256, skewedPartitionFactor = 5,
     maxPartitionBytesMb = 128, openCostMb = 4)
 
-  def fromVector(v: IndexedSeq[Double]): ThetaP = {
-    require(v.size == dP, s"θp needs $dP values, got ${v.size}")
-    ThetaP(
-      AdvisoryPartitionMb.clamp(v(0)).toInt, NonEmptyPartitionRatio.clamp(v(1)),
-      ShuffledHashThresholdMb.clamp(v(2)).toInt, BroadcastThresholdMb.clamp(v(3)).toInt,
-      ShufflePartitions.clamp(v(4)).toInt, SkewedPartitionThresholdMb.clamp(v(5)).toInt,
-      SkewedPartitionFactor.clamp(v(6)).toInt, MaxPartitionBytesMb.clamp(v(7)).toInt,
-      OpenCostMb.clamp(v(8)).toInt)
-  }
-
-  def fromUnit(u: IndexedSeq[Double]): ThetaP =
-    fromVector(thetaPDefs.zip(u).map { case (d, x) => d.fromUnit(x) })
+  protected def build(v: Array[Double]): ThetaP =
+    ThetaP(v(0).toInt, v(1), v(2).toInt, v(3).toInt, v(4).toInt, v(5).toInt, v(6).toInt, v(7).toInt, v(8).toInt)
 }
 
 /** Query-stage parameters `θs` — one copy per query stage. */
@@ -201,38 +213,28 @@ final case class ThetaS(smallPartitionFactor: Double, minPartitionSizeMb: Int) {
   def toVector: Vector[Double] = Vector(smallPartitionFactor, minPartitionSizeMb.toDouble)
 
   /** Unit coordinates of this copy, the inverse of [[ThetaS.fromUnit]]. */
-  def toUnit: Vector[Double] = SparkParams.thetaSDefs.zip(toVector).map { case (d, v) => d.toUnit(v) }
+  def toUnit: Vector[Double] = ThetaS.toUnit(toVector)
 }
 
-object ThetaS {
-  import SparkParams._
+object ThetaS extends ThetaBlock[ThetaS](SparkParams.thetaSDefs, "θs") {
 
   val default: ThetaS = ThetaS(smallPartitionFactor = 0.2, minPartitionSizeMb = 1)
 
-  def fromVector(v: IndexedSeq[Double]): ThetaS = {
-    require(v.size == dS, s"θs needs $dS values, got ${v.size}")
-    ThetaS(SmallPartitionFactor.clamp(v(0)), MinPartitionSizeMb.clamp(v(1)).toInt)
-  }
-
-  def fromUnit(u: IndexedSeq[Double]): ThetaS =
-    fromVector(thetaSDefs.zip(u).map { case (d, x) => d.fromUnit(x) })
+  protected def build(v: Array[Double]): ThetaS = ThetaS(v(0), v(1).toInt)
 }
 
 /** A full single-copy configuration `(θc, θp, θs)` — what query-level tuners
   * search over, and what the simulator executes a stage with.
   */
-final case class Configuration(c: ThetaC, p: ThetaP, s: ThetaS) {
-  def toVector: Vector[Double] = c.toVector ++ p.toVector ++ s.toVector
-}
+final case class Configuration(c: ThetaC, p: ThetaP, s: ThetaS)
 
 object Configuration {
+  import SparkParams.{dAll, dC, dP}
+
   val default: Configuration = Configuration(ThetaC.default, ThetaP.default, ThetaS.default)
 
-  def fromUnit(u: IndexedSeq[Double]): Configuration = {
-    require(u.size == SparkParams.dAll, s"need ${SparkParams.dAll} coords, got ${u.size}")
-    Configuration(
-      ThetaC.fromUnit(u.slice(0, SparkParams.dC)),
-      ThetaP.fromUnit(u.slice(SparkParams.dC, SparkParams.dC + SparkParams.dP)),
-      ThetaS.fromUnit(u.slice(SparkParams.dC + SparkParams.dP, SparkParams.dAll)))
+  def fromUnit(u: collection.IndexedSeq[Double]): Configuration = {
+    require(u.size == dAll, s"need $dAll coords, got ${u.size}")
+    Configuration(ThetaC.decode(u, 0), ThetaP.decode(u, dC), ThetaS.decode(u, dC + dP))
   }
 }

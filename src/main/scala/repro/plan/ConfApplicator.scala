@@ -2,6 +2,7 @@ package repro.plan
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.params.{ThetaP, ThetaS}
+import repro.params.SparkParams.{BroadcastThresholdMb, ParamDef, thetaPDefs, thetaSDefs}
 
 /** Applies a tuned `θp`/`θs` copy to a live `SparkSession` and runs a query
   * under it — the deployment path of the paper's recommendation on real
@@ -14,23 +15,27 @@ import repro.params.{ThetaP, ThetaS}
   */
 object ConfApplicator {
 
-  /** The conf assignments for one `θp` copy (values in Spark's units). */
-  def thetaPConfs(p: ThetaP): Map[String, String] = Map(
-    "spark.sql.adaptive.advisoryPartitionSizeInBytes" -> s"${p.advisoryPartitionMb.toLong * 1048576L}",
-    "spark.sql.adaptive.nonEmptyPartitionRatioForBroadcastJoin" -> p.nonEmptyPartitionRatio.toString,
-    "spark.sql.adaptive.maxShuffledHashJoinLocalMapThreshold" -> s"${p.shuffledHashThresholdMb.toLong * 1048576L}",
-    "spark.sql.adaptive.autoBroadcastJoinThreshold" -> s"${p.broadcastThresholdMb.toLong * 1048576L}",
-    "spark.sql.autoBroadcastJoinThreshold" -> s"${p.broadcastThresholdMb.toLong * 1048576L}",
-    "spark.sql.shuffle.partitions" -> p.shufflePartitions.toString,
-    "spark.sql.adaptive.skewJoin.skewedPartitionThresholdInBytes" -> s"${p.skewedPartitionThresholdMb.toLong * 1048576L}",
-    "spark.sql.adaptive.skewJoin.skewedPartitionFactor" -> p.skewedPartitionFactor.toString,
-    "spark.sql.files.maxPartitionBytes" -> s"${p.maxPartitionBytesMb.toLong * 1048576L}",
-    "spark.sql.files.openCostInBytes" -> s"${p.openCostMb.toLong * 1048576L}")
+  /** The conf assignments for one `θp` copy, keyed by each `ParamDef.name`.
+    * Compile-time planning reads `spark.sql.autoBroadcastJoinThreshold`, so
+    * it gets the same value as the adaptive broadcast threshold.
+    */
+  def thetaPConfs(p: ThetaP): Map[String, String] = {
+    val confs = confsOf(thetaPDefs, p.toVector)
+    confs + ("spark.sql.autoBroadcastJoinThreshold" -> confs(BroadcastThresholdMb.name))
+  }
 
-  /** The conf assignments for one `θs` copy. */
-  def thetaSConfs(s: ThetaS): Map[String, String] = Map(
-    "spark.sql.adaptive.rebalancePartitionsSmallPartitionFactor" -> s.smallPartitionFactor.toString,
-    "spark.sql.adaptive.coalescePartitions.minPartitionSize" -> s"${s.minPartitionSizeMb.toLong * 1048576L}")
+  /** The conf assignments for one `θs` copy, keyed by each `ParamDef.name`. */
+  def thetaSConfs(s: ThetaS): Map[String, String] = confsOf(thetaSDefs, s.toVector)
+
+  /** Values in Spark's units: bytes for byte confs, whole numbers for other
+    * integral parameters, `Double.toString` otherwise.
+    */
+  private def confsOf(defs: Vector[ParamDef], values: Vector[Double]): Map[String, String] =
+    defs.zip(values).map {
+      case (d, v) if d.bytes    => d.name -> (v.toLong * 1048576L).toString
+      case (d, v) if d.integral => d.name -> v.toLong.toString
+      case (d, v)               => d.name -> v.toString
+    }.toMap
 
   /** Run `body` with `confs` applied, restoring the previous values. */
   def withConf[T](spark: SparkSession, confs: Map[String, String])(body: => T): T = {

@@ -40,7 +40,7 @@ object PlanExtractor {
       id
     }
 
-    // Returns (subQ id, pending op types folded into that stage, join depth).
+    // A built subtree: the id of its top subQ and its join depth.
     final case class Ref(id: Int, depth: Int)
 
     def opOf(p: LogicalPlan): Option[OpType] = p match {

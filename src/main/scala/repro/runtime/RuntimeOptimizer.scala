@@ -40,7 +40,7 @@ final class RuntimeOptimizer(
   private val sCandidates: Vector[ThetaS] =
     ThetaS.default +: Sampling.grid(4, SparkParams.dS).map(u => ThetaS.fromUnit(u))
 
-  private val thetaC = repro.params.ThetaC.fromUnit(cU.toVector)
+  private val thetaC = repro.params.ThetaC.fromUnit(cU)
 
   // The most recent θp copy handed back to AQE — QS-level scoring uses it
   // for the partition-count feature.

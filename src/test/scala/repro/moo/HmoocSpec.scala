@@ -181,11 +181,14 @@ class HmoocSpec extends AnyFunSuite {
   }
 
   test("the three aggregation variants agree on the latency extreme") {
-    def front(agg: Aggregation) =
-      Hmooc.solve(qm, Settings(nInitC = 12, nClusters = 3, nPool = 16, nEnrich = 4, aggregation = agg))
-    val b = front(Boundary); val d = front(DivideAndConquer); val w = front(WsApprox)
-    assert(math.abs(b.front.map(_.f1).min - d.front.map(_.f1).min) < 1e-6)
-    assert(w.front.map(_.f1).min >= d.front.map(_.f1).min - 1e-6)
+    forAllSeeds(25) { rnd =>
+      val cand = randomCand(rnd, m = 2 + rnd.nextInt(3), perSubQ = 2 + rnd.nextInt(4))
+      val b = aggregateBoundary(cand).map(_.f1).min
+      val d = aggregateDivide(cand).map(_.f1).min
+      val w = aggregateWs(cand, nWeights = 11).map(_.f1).min
+      assert(math.abs(b - d) < 1e-6)
+      assert(w >= d - 1e-6)
+    }
   }
 
   test("HMOOC1's hypervolume dominates the approximations'") {

@@ -74,23 +74,41 @@ class SparkParamsSpec extends AnyFunSuite {
     assert(c.taskMemoryMb > 0)
   }
 
-  test("ThetaC.fromVector round-trips toVector") {
-    assert(ThetaC.fromVector(ThetaC.default.toVector) == ThetaC.default)
+  // The affine unit map does not always invert bit for bit, so fractional
+  // values of random copies may come back off in the last bits.
+  private def assertRoundTrip(defs: Vector[ParamDef], back: Vector[Double], x: Vector[Double]): Unit =
+    defs.indices.foreach { i =>
+      assert(if (defs(i).integral) back(i) == x(i) else math.abs(back(i) - x(i)) <= 1e-12, defs(i).name)
+    }
+
+  test("ThetaC.fromUnit round-trips toUnit") {
+    assert(ThetaC.fromUnit(ThetaC.default.toUnit) == ThetaC.default)
+    forAllSeeds() { rnd =>
+      val x = ThetaC.fromUnit(Vector.fill(dC)(rnd.nextDouble()))
+      assertRoundTrip(thetaCDefs, ThetaC.fromUnit(x.toUnit).toVector, x.toVector)
+    }
   }
 
-  test("ThetaP.fromVector round-trips toVector") {
-    assert(ThetaP.fromVector(ThetaP.default.toVector) == ThetaP.default)
+  test("ThetaP.fromUnit round-trips toUnit") {
+    assert(ThetaP.fromUnit(ThetaP.default.toUnit) == ThetaP.default)
+    forAllSeeds() { rnd =>
+      val x = ThetaP.fromUnit(Vector.fill(dP)(rnd.nextDouble()))
+      assertRoundTrip(thetaPDefs, ThetaP.fromUnit(x.toUnit).toVector, x.toVector)
+    }
   }
 
-  test("ThetaS.fromVector round-trips toVector") {
-    assert(ThetaS.fromVector(ThetaS.default.toVector) == ThetaS.default)
+  test("ThetaS.fromUnit round-trips toUnit") {
+    assert(ThetaS.fromUnit(ThetaS.default.toUnit) == ThetaS.default)
+    forAllSeeds() { rnd =>
+      val x = ThetaS.fromUnit(Vector.fill(dS)(rnd.nextDouble()))
+      assertRoundTrip(thetaSDefs, ThetaS.fromUnit(x.toUnit).toVector, x.toVector)
+    }
   }
 
   test("Configuration.fromUnit splits coordinates into the three blocks") {
     forAllSeeds() { rnd =>
       val u = Vector.fill(dAll)(rnd.nextDouble())
       val conf = Configuration.fromUnit(u)
-      assert(conf.toVector.size == dAll)
       assert(conf.c == ThetaC.fromUnit(u.slice(0, dC)))
       assert(conf.p == ThetaP.fromUnit(u.slice(dC, dC + dP)))
       assert(conf.s == ThetaS.fromUnit(u.slice(dC + dP, dAll)))
@@ -99,9 +117,18 @@ class SparkParamsSpec extends AnyFunSuite {
 
   test("Configuration.fromUnit rejects wrong widths") {
     intercept[IllegalArgumentException](Configuration.fromUnit(Vector(0.5)))
+    intercept[IllegalArgumentException](Configuration.fromUnit(Vector.fill(dAll + 1)(0.5)))
   }
 
-  test("ThetaC.fromVector rejects wrong widths") {
-    intercept[IllegalArgumentException](ThetaC.fromVector(Vector(1.0)))
+  test("ThetaC/P/S.fromUnit reject too-short and too-long vectors") {
+    Seq[ThetaBlock[_]](ThetaC, ThetaP, ThetaS).foreach { b =>
+      intercept[IllegalArgumentException](b.fromUnit(Vector.fill(b.defs.size - 1)(0.5)))
+      intercept[IllegalArgumentException](b.fromUnit(Vector.fill(b.defs.size + 1)(0.5)))
+    }
+  }
+
+  test("fromUnit rejects NaN coordinates") {
+    allDefs.foreach(d => intercept[IllegalArgumentException](d.fromUnit(Double.NaN)))
+    intercept[IllegalArgumentException](Configuration.fromUnit(Vector.fill(dAll)(0.5).updated(dC, Double.NaN)))
   }
 }

@@ -33,16 +33,40 @@ class ConfApplicatorSpec extends SparkSpec {
   }
 
   test("θp confs map to Spark keys with byte units") {
-    val confs = ConfApplicator.thetaPConfs(ThetaP.default)
-    assert(confs("spark.sql.adaptive.autoBroadcastJoinThreshold") == s"${10L * 1048576}")
-    assert(confs("spark.sql.shuffle.partitions") == "200")
-    assert(confs.size == 10)
+    assert(ConfApplicator.thetaPConfs(ThetaP.default) == Map(
+      "spark.sql.adaptive.advisoryPartitionSizeInBytes" -> "67108864",
+      "spark.sql.adaptive.nonEmptyPartitionRatioForBroadcastJoin" -> "0.2",
+      "spark.sql.adaptive.maxShuffledHashJoinLocalMapThreshold" -> "0",
+      "spark.sql.adaptive.autoBroadcastJoinThreshold" -> "10485760",
+      "spark.sql.autoBroadcastJoinThreshold" -> "10485760",
+      "spark.sql.shuffle.partitions" -> "200",
+      "spark.sql.adaptive.skewJoin.skewedPartitionThresholdInBytes" -> "268435456",
+      "spark.sql.adaptive.skewJoin.skewedPartitionFactor" -> "5",
+      "spark.sql.files.maxPartitionBytes" -> "134217728",
+      "spark.sql.files.openCostInBytes" -> "4194304"))
+    val p = ThetaP(advisoryPartitionMb = 32, nonEmptyPartitionRatio = 0.05, shuffledHashThresholdMb = 100,
+      broadcastThresholdMb = 64, shufflePartitions = 40, skewedPartitionThresholdMb = 512,
+      skewedPartitionFactor = 3, maxPartitionBytesMb = 256, openCostMb = 2)
+    assert(ConfApplicator.thetaPConfs(p) == Map(
+      "spark.sql.adaptive.advisoryPartitionSizeInBytes" -> "33554432",
+      "spark.sql.adaptive.nonEmptyPartitionRatioForBroadcastJoin" -> "0.05",
+      "spark.sql.adaptive.maxShuffledHashJoinLocalMapThreshold" -> "104857600",
+      "spark.sql.adaptive.autoBroadcastJoinThreshold" -> "67108864",
+      "spark.sql.autoBroadcastJoinThreshold" -> "67108864",
+      "spark.sql.shuffle.partitions" -> "40",
+      "spark.sql.adaptive.skewJoin.skewedPartitionThresholdInBytes" -> "536870912",
+      "spark.sql.adaptive.skewJoin.skewedPartitionFactor" -> "3",
+      "spark.sql.files.maxPartitionBytes" -> "268435456",
+      "spark.sql.files.openCostInBytes" -> "2097152"))
   }
 
   test("θs confs map to the two stage-level keys") {
-    val confs = ConfApplicator.thetaSConfs(ThetaS.default)
-    assert(confs.size == 2)
-    assert(confs.contains("spark.sql.adaptive.rebalancePartitionsSmallPartitionFactor"))
+    assert(ConfApplicator.thetaSConfs(ThetaS.default) == Map(
+      "spark.sql.adaptive.rebalancePartitionsSmallPartitionFactor" -> "0.2",
+      "spark.sql.adaptive.coalescePartitions.minPartitionSize" -> "1048576"))
+    assert(ConfApplicator.thetaSConfs(ThetaS(smallPartitionFactor = 0.35, minPartitionSizeMb = 16)) == Map(
+      "spark.sql.adaptive.rebalancePartitionsSmallPartitionFactor" -> "0.35",
+      "spark.sql.adaptive.coalescePartitions.minPartitionSize" -> "16777216"))
   }
 
   test("a zero broadcast threshold yields sort-merge joins in the physical plan") {
