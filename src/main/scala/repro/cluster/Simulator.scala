@@ -66,14 +66,12 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
   def trueOut(g: QueryGraph): Map[Int, SideStats] =
     g.subQs.map(s => s.id -> SideStats(s.trueOutBytes, s.trueOutRows)).toMap
 
-  /** Compile-time physical plan: one join algorithm per join stage, chosen
-    * from *estimated* statistics under that subQ's `θp` copy.
+  /** Compile-time physical plan: one join algorithm per join stage,
+    * [[QueryGraph.plannedAlgo]] under that subQ's `θp` copy, so every join
+    * is decided from the estimated graph.
     */
   def compilePlan(g: QueryGraph, thetaPFor: SubQ => ThetaP): Map[Int, JoinAlgo] =
-    g.subQs.filter(_.isJoin).map { sub =>
-      val (_, build) = g.probeBuild(sub, g.subQs(_).estOutBytes)
-      sub.id -> JoinAlgo.choose(g.subQs(build).estOutBytes / 1048576.0, thetaPFor(sub))
-    }.toMap
+    g.subQs.filter(_.isJoin).map(sub => sub.id -> g.plannedAlgo(sub.id, thetaPFor(sub)).get).toMap
 
   /** Runtime upgrade rule: SMJ may become SHJ or BHJ; SHJ and BHJ stick. */
   def runtimeAlgo(compiled: JoinAlgo, trueBuildMb: Double, p: ThetaP): JoinAlgo =

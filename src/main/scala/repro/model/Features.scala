@@ -1,7 +1,7 @@
 package repro.model
 
 import repro.cluster.CostModel
-import repro.params.{Configuration, SparkParams, ThetaP}
+import repro.params.{Configuration, SparkParams}
 import repro.workload.{JoinAlgo, QueryGraph}
 
 /** Feature layout shared by the three model targets (§4.3, Fig 6).
@@ -80,83 +80,58 @@ object Features {
 /** The one builder of model inputs for one query graph, used by the
   * [[Trainer]] on every trace run and by [[QueryModels]] when serving.
   *
-  * Embeddings and non-decision variables do not depend on `θ` (Fig 6), so
-  * each subQ's are computed once here, in two statistics views: compile
-  * time (CBO estimates, β = γ = 0) and runtime (true statistics). The
-  * planning rules behind the hints are the simulator's own:
-  * [[JoinAlgo.choose]], [[QueryGraph.probeBuild]] and
-  * [[QueryGraph.writesShuffle]]. Every view decides shuffle writes from the
-  * *estimated* build sizes.
+  * It has one statistics view: the graph it is given. Compile time is a
+  * `PlanFeatures` over [[QueryGraph.estimated]] (CBO estimates, β = 0);
+  * runtime is one over the real graph. Embeddings and non-decision
+  * variables do not depend on `θ` (Fig 6), so each subQ's are computed
+  * once here. The planning rules behind the hints are the simulator's own:
+  * [[JoinAlgo.choose]] on [[QueryGraph.buildMb]], and
+  * [[QueryGraph.writesShuffle]] over the joins compile time plans
+  * ([[QueryGraph.plannedAlgo]]).
   *
-  * Each view takes the unit-normalized 19-dim configuration `unit19`.
+  * Each input takes the unit-normalized 19-dim configuration `unit19`.
   */
 final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
-  import PlanFeatures.Input
 
-  // Compile-time view: scans read their table (well estimated); other
-  // stages read their children's estimated outputs.
-  private val est: Array[Input] = Array.tabulate(g.numSubQs) { i =>
-    val sub = g.subQs(i)
-    val (rows, bytes) =
-      if (sub.isScan) (sub.trueInputRows.toDouble, sub.trueInputBytes.toDouble)
-      else {
-        val kids = sub.children.map(g.subQs)
-        (kids.map(_.estOutRows.toDouble).sum, kids.map(_.estOutBytes.toDouble).sum)
-      }
-    Input(embedder.embedSubQ(sub, rows, bytes), bytes / 1048576.0, buildMb(i, g.subQs(_).estOutBytes),
-      Features.nonDecision(bytes / 1048576.0, rows, sub.estOutBytes / 1048576.0, sub.estOutRows.toDouble,
-        0.0, _, _))
+  private val inMb: Array[Double] = g.subQs.map(_.trueInputBytes / 1048576.0).toArray
+
+  private val embedding: Array[Array[Double]] =
+    g.subQs.map(s => embedder.embedSubQ(s, s.trueInputRows.toDouble, s.trueInputBytes.toDouble)).toArray
+
+  /** SubQ `i`'s embedding ⊕ non-decision block under contention `γ`. */
+  private def prefix(i: Int, gammaSiblings: Double, gammaWork: Double): Array[Double] = {
+    val s = g.subQs(i)
+    embedding(i) ++ Features.nonDecision(inMb(i), s.trueInputRows.toDouble, s.trueOutBytes / 1048576.0,
+      s.trueOutRows.toDouble, s.skew - 1.0, gammaSiblings, gammaWork)
   }
 
-  // Runtime view: true statistics, β from the partition skew.
-  private val tru: Array[Input] = Array.tabulate(g.numSubQs) { i =>
-    val sub = g.subQs(i)
-    val (rows, bytes) = (sub.trueInputRows.toDouble, sub.trueInputBytes.toDouble)
-    Input(embedder.embedSubQ(sub, rows, bytes), bytes / 1048576.0, buildMb(i, g.subQs(_).trueOutBytes),
-      Features.nonDecision(bytes / 1048576.0, rows, sub.trueOutBytes / 1048576.0, sub.trueOutRows.toDouble,
-        sub.skew - 1.0, _, _))
-  }
+  // The subQ model's prefix: no contention.
+  private val subQPrefix: Array[Array[Double]] = Array.tabulate(g.numSubQs)(prefix(_, 0.0, 0.0))
 
-  private def buildMb(i: Int, bytes: Int => Long): Double = {
-    val sub = g.subQs(i)
-    if (sub.isJoin) bytes(g.probeBuild(sub, bytes)._2) / 1048576.0 else 0.0
-  }
+  private def hints(i: Int, algoCode: Int, conf: Configuration): Array[Double] =
+    Features.hints(algoCode, g.subQs(i).isScan, g.writesShuffle(i, g.plannedAlgo(_, conf.p)), inMb(i), conf)
 
-  private def algo(i: Int, buildMb: Double, p: ThetaP): Option[JoinAlgo] =
-    Option.when(g.subQs(i).isJoin)(JoinAlgo.choose(buildMb, p))
-
-  private def writesShuffle(i: Int, p: ThetaP): Boolean =
-    g.writesShuffle(i, pid => algo(pid, est(pid).buildMb, p))
-
-  private def hints(i: Int, algoCode: Int, in: Input, conf: Configuration): Array[Double] =
-    Features.hints(algoCode, g.subQs(i).isScan, writesShuffle(i, conf.p), in.inMb, conf)
-
-  private def subQView(i: Int, in: Input, unit19: Array[Double]): Array[Double] = {
-    val conf = Configuration.fromUnit(unit19)
-    Array.concat(in.subQPrefix, unit19, hints(i, JoinAlgo.code(algo(i, in.buildMb, conf.p)), in, conf))
-  }
-
-  /** SubQ model input at compile time: CBO estimates, β = γ = 0, the join
-    * algorithm the rule picks from the estimated build side.
+  /** SubQ model input: the graph's statistics, no contention, and the join
+    * algorithm the rule picks from the graph's build side.
     */
-  def subQ(i: Int, unit19: Array[Double]): Array[Double] = subQView(i, est(i), unit19)
+  def subQ(i: Int, unit19: Array[Double]): Array[Double] = {
+    val conf = Configuration.fromUnit(unit19)
+    val algo = Option.when(g.subQs(i).isJoin)(JoinAlgo.choose(g.buildMb(i), conf.p))
+    Array.concat(subQPrefix(i), unit19, hints(i, JoinAlgo.code(algo), conf))
+  }
 
-  /** SubQ model input on true statistics (the runtime re-scoring of `θp`). */
-  def subQTrue(i: Int, unit19: Array[Double]): Array[Double] = subQView(i, tru(i), unit19)
-
-  /** QS model input: true statistics, contention `γ`, the stage's physical
-    * join algorithm (AQE already planned it), and `θp` dropped.
+  /** QS model input: contention `γ`, the stage's physical join algorithm
+    * (AQE already planned it), and `θp` dropped.
     */
   def qs(i: Int, unit19: Array[Double], algoCode: Int, gammaSiblings: Double, gammaWork: Double): Array[Double] = {
     import SparkParams.{dC, dP, dAll}
-    val conf = Configuration.fromUnit(unit19)
-    Array.concat(tru(i).prefix(gammaSiblings, gammaWork),
-      unit19.slice(0, dC), unit19.slice(dC + dP, dAll), hints(i, algoCode, tru(i), conf))
+    Array.concat(prefix(i, gammaSiblings, gammaWork),
+      unit19.slice(0, dC), unit19.slice(dC + dP, dAll), hints(i, algoCode, Configuration.fromUnit(unit19)))
   }
 
-  /** LQP model input (Table 3 only): the whole plan on true statistics.
-    * Mean-pooled embeddings normalize plan size away, so the subQ count
-    * rides along after the hints.
+  /** LQP model input (Table 3 only): the whole plan. Mean-pooled embeddings
+    * normalize plan size away, so the subQ count rides along after the
+    * hints.
     */
   def lqp(unit19: Array[Double]): Array[Double] = {
     val sinks = g.sinks
@@ -169,24 +144,5 @@ final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
       unit19,
       Features.hints(0, isScan = false, writesShuffle = false, scanMb, unit19),
       Array(g.numSubQs / 50.0))
-  }
-}
-
-object PlanFeatures {
-
-  /** One subQ's configuration-independent inputs under one statistics view;
-    * `nonDecision` takes the contention `γ` (siblings, sibling work).
-    */
-  private final case class Input(
-      embedding: Array[Double],
-      inMb: Double,
-      buildMb: Double,
-      nonDecision: (Double, Double) => Array[Double]) {
-
-    def prefix(gammaSiblings: Double, gammaWork: Double): Array[Double] =
-      embedding ++ nonDecision(gammaSiblings, gammaWork)
-
-    /** The subQ model's prefix (no contention), cached. */
-    val subQPrefix: Array[Double] = prefix(0.0, 0.0)
   }
 }

@@ -27,10 +27,11 @@ final case class RegModel(mlp: Mlp, yMean: Array[Double], yStd: Array[Double]) {
 final case class Models(embedder: GraphEmbedder, subQ: RegModel, qs: RegModel, lqp: RegModel)
 
 /** Model-backed objective evaluation for one query: the trained heads
-  * applied to the query's [[PlanFeatures]].
+  * applied to two [[PlanFeatures]], one over the query as compile time
+  * believes it to be ([[QueryGraph.estimated]]) and one over the real graph.
   *
   * Embeddings and non-decision features are configuration-independent
-  * (Fig 6), so the featurizer computes them once per subQ; every candidate
+  * (Fig 6), so each featurizer computes them once per subQ; every candidate
   * evaluation is then a single regressor forward pass. This prefix caching
   * is what gives HMOOC its low solving time relative to global methods
   * that must evaluate all `m` subQ models per sampled configuration.
@@ -39,19 +40,20 @@ final class QueryModels(val g: QueryGraph, val models: Models, val spec: Cluster
 
   val m: Int = g.numSubQs
 
-  private val features = new PlanFeatures(g, models.embedder)
+  private val compileTime = new PlanFeatures(g.estimated, models.embedder)
+  private val runtime = new PlanFeatures(g, models.embedder)
 
   /** Predicted (analytical latency sec, IO MB) of subQ `i` at compile time
     * under the unit-normalized 19-dim configuration.
     */
   def predictSubQ(i: Int, unit19: Array[Double]): (Double, Double) =
-    models.subQ.predictLatIo(features.subQ(i, unit19))
+    models.subQ.predictLatIo(compileTime.subQ(i, unit19))
 
   /** Same as [[predictSubQ]] but with true runtime statistics (used by the
     * runtime optimizer to re-score `θp` candidates).
     */
   def predictSubQTrue(i: Int, unit19: Array[Double]): (Double, Double) =
-    models.subQ.predictLatIo(features.subQTrue(i, unit19))
+    models.subQ.predictLatIo(runtime.subQ(i, unit19))
 
   /** Runtime QS model: θp dropped, true statistics, the stage's physical
     * join algorithm (AQE already planned it), and contention features.
@@ -62,7 +64,7 @@ final class QueryModels(val g: QueryGraph, val models: Models, val spec: Cluster
       algoCode: Int,
       gammaSiblings: Double,
       gammaWork: Double): (Double, Double) =
-    models.qs.predictLatIo(features.qs(i, unit19, algoCode, gammaSiblings, gammaWork))
+    models.qs.predictLatIo(runtime.qs(i, unit19, algoCode, gammaSiblings, gammaWork))
 
   /** Convert a subQ's predicted (latency, IO) into (latency, cloud cost). */
   def toObjectives(latSec: Double, ioMb: Double, c: ThetaC): (Double, Double) =

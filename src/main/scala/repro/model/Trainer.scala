@@ -65,20 +65,22 @@ object Trainer {
     val lqpRows  = mutable.ArrayBuffer.empty[(Array[Double], Array[Double], Int)]
 
     runs.foreach { run =>
-      val features = new PlanFeatures(TraceGen.graphOf(bench, run.template, run.variant), embedder)
+      val g = TraceGen.graphOf(bench, run.template, run.variant)
+      val compileTime = new PlanFeatures(g.estimated, embedder)
+      val runtime = new PlanFeatures(g, embedder)
       val conf = run.conf.toArray
       val bucket = math.abs((run.template * 31L + run.variant * 17L).hashCode) % 10
 
       run.exec.stages.foreach { st =>
         val y = target(st.analyticalSec, st.ioMb)
-        // subQ model: compile-time view. QS model: runtime view with the
-        // stage's physical join algorithm and its measured contention.
-        subQRows += ((features.subQ(st.subQId, conf), y, bucket))
-        qsRows += ((features.qs(st.subQId, conf, JoinAlgo.code(st.algo),
+        // subQ model: the estimated graph. QS model: the real graph, with
+        // the stage's physical join algorithm and its measured contention.
+        subQRows += ((compileTime.subQ(st.subQId, conf), y, bucket))
+        qsRows += ((runtime.qs(st.subQId, conf, JoinAlgo.code(st.algo),
           st.siblingCount.toDouble, st.siblingWorkSec), y, bucket))
       }
       // LQP model: whole plan, end-to-end latency.
-      lqpRows += ((features.lqp(conf), target(run.exec.wallSec, run.exec.ioMb), bucket))
+      lqpRows += ((runtime.lqp(conf), target(run.exec.wallSec, run.exec.ioMb), bucket))
     }
 
     val subQSplit = buildSplit(subQRows.toSeq)

@@ -13,16 +13,17 @@ import repro.workload.QueryGraph
   * build sides — and are lower-capped at the Spark defaults (10 MB / 0 MB)
   * so genuinely small scan-based sides still get broadcast. All other
   * parameters, and the whole `θs` copy, are copied from the dominant subQ:
-  * the one reading the most input bytes.
+  * the one the CBO believes reads the most input bytes. Submission happens
+  * at compile time, so the pick reads [[QueryGraph.estimated]] only.
   */
 object ThetaAggregator {
 
-  /** SubQ carrying the most input bytes — its copies dominate aggregation
-    * (blending disparate per-subQ values would produce a copy optimal for
-    * no stage at all).
+  /** SubQ carrying the most estimated input bytes — its copies dominate
+    * aggregation (blending disparate per-subQ values would produce a copy
+    * optimal for no stage at all).
     */
   private def dominantIdx(g: QueryGraph): Int =
-    g.subQs.indices.maxBy(i => g.subQs(i).trueInputBytes)
+    g.estimated.subQs.maxBy(_.trueInputBytes).id
 
   /** The single submission-time `θp` copy. */
   def aggregateP(g: QueryGraph, fc: FineConfig): ThetaP = {

@@ -56,9 +56,10 @@ object JoinAlgo {
 /** One subQ: the group of logical operators that becomes a query stage (QS)
   * when the plan is translated to a physical plan (§4.1).
   *
-  * Statistics carry *true* values; the compile-time view multiplies them by
-  * `cardErrFactor` (the CBO misestimation, deterministic per operator, with
-  * variance growing in join depth — §3.2's Fig 3b pathology).
+  * Statistics carry *true* values; the CBO's estimate of the output
+  * multiplies them by `cardErrFactor` (the misestimation, deterministic per
+  * operator, with variance growing in join depth — §3.2's Fig 3b
+  * pathology). Compile time reads them through [[QueryGraph.estimated]].
   *
   * @param id             index within the query (topologically ordered:
   *                       children always have smaller ids)
@@ -93,10 +94,10 @@ final case class SubQ(
   def isScan: Boolean = ops.contains(OpType.Scan)
   def isJoin: Boolean = ops.contains(OpType.Join)
 
-  /** CBO-estimated output bytes (compile-time view). */
+  /** CBO-estimated output bytes. */
   def estOutBytes: Long = math.max(1L, (trueOutBytes * cardErrFactor).toLong)
 
-  /** CBO-estimated output rows (compile-time view). */
+  /** CBO-estimated output rows. */
   def estOutRows: Long = math.max(1L, (trueOutRows * cardErrFactor).toLong)
 }
 
@@ -128,6 +129,25 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
   /** The subQ that reads each subQ's output; sinks have none. */
   lazy val parentOf: Map[Int, Int] = subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
 
+  /** The query as compile time believes it to be: the same stages, in
+    * which the `true*` fields hold what the CBO believes. Each subQ's output
+    * is its estimate (`cardErrFactor` 1.0); skew is unknown (1.0, so β = 0);
+    * a scan reads its table, which the CBO sizes exactly; every other stage
+    * reads the sum of its children's estimated outputs. Every compile-time
+    * decision reads this graph, so no true statistic reaches one.
+    */
+  lazy val estimated: QueryGraph = {
+    val outs = subQs.map(s => s.copy(trueOutBytes = s.estOutBytes, trueOutRows = s.estOutRows,
+      cardErrFactor = 1.0, skew = 1.0))
+    copy(subQs = outs.map { s =>
+      if (s.isScan) s
+      else {
+        val kids = s.children.map(outs)
+        s.copy(trueInputBytes = kids.map(_.trueOutBytes).sum, trueInputRows = kids.map(_.trueOutRows).sum)
+      }
+    })
+  }
+
   /** Order a join's two children as (probe, build): the build side is the
     * one with fewer `bytes` (the second child on a tie).
     */
@@ -135,6 +155,19 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
     val Vector(a, b) = join.children
     if (bytes(a) >= bytes(b)) (a, b) else (b, a)
   }
+
+  /** Per subQ, a join's build-side output MB under this graph's
+    * statistics; 0 for any other stage.
+    */
+  lazy val buildMb: Vector[Double] = subQs.map { s =>
+    if (s.isJoin) subQs(probeBuild(s, subQs(_).trueOutBytes)._2).trueOutBytes / 1048576.0 else 0.0
+  }
+
+  /** The join algorithm compile time plans for subQ `id` under `p`: the
+    * rule applied to the [[estimated]] build side; `None` for a non-join.
+    */
+  def plannedAlgo(id: Int, p: ThetaP): Option[JoinAlgo] =
+    Option.when(subQs(id).isJoin)(JoinAlgo.choose(estimated.buildMb(id), p))
 
   /** Whether subQ `id` writes its output to a shuffle exchange, given each
     * join's physical algorithm: it has a parent, and that parent is not a

@@ -6,8 +6,9 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session runs on a local master (`SPARK_MASTER`, default
+  * SPARK_DRIVER_MEM (48g when unset; ROADMAP.md's Tier-1 command sets half
+  * of the machine's memory, clamped to 2–8 GB). The session runs on a local
+  * master (`SPARK_MASTER`, default
   * `local[*]`) with 64 shuffle partitions (`SPARK_SHUFFLE_PARTITIONS`) and
   * broadcast joins off (`spark.sql.autoBroadcastJoinThreshold` = -1).
   */

@@ -61,7 +61,8 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
     assert(Configuration.fromUnit(unit.toIndexedSeq) == conf)
   }
 
-  private val features = new PlanFeatures(g, emb)
+  private val features = new PlanFeatures(g.estimated, emb)
+  private val runtime = new PlanFeatures(g, emb)
   private val join = g.subQs.find(_.isJoin).get
 
   test("assemble concatenates embedding, non-decision and θ blocks") {
@@ -79,26 +80,26 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
   }
 
   test("the subQ views lay out embedding, non-decision, all 19 θ and the hints") {
-    for (x <- Seq(features.subQ(join.id, unit), features.subQTrue(join.id, unit))) {
+    for (x <- Seq(features.subQ(join.id, unit), runtime.subQ(join.id, unit))) {
       assert(x.length == emb.outDim + Features.ndDim + SparkParams.dAll + Features.hintDim)
       assert(x.slice(emb.outDim + Features.ndDim, x.length - Features.hintDim).toSeq == unit.toSeq)
     }
     // Compile time sees CBO estimates and β = γ = 0; runtime sees the truth.
     val nd = features.subQ(join.id, unit).slice(emb.outDim, emb.outDim + Features.ndDim)
     assert(nd.drop(4).forall(_ == 0.0))
-    assert(g.subQs.exists(s => features.subQ(s.id, unit).toSeq != features.subQTrue(s.id, unit).toSeq))
+    assert(g.subQs.exists(s => features.subQ(s.id, unit).toSeq != runtime.subQ(s.id, unit).toSeq))
   }
 
   test("the QS view drops exactly the 9 θp coordinates and carries γ") {
-    val x = features.qs(join.id, unit, 3, 2.0, 10.0)
+    val x = runtime.qs(join.id, unit, 3, 2.0, 10.0)
     val theta = x.slice(emb.outDim + Features.ndDim, x.length - Features.hintDim)
     assert(x.length == emb.outDim + Features.ndDim + SparkParams.dC + SparkParams.dS + Features.hintDim)
     assert(theta.toSeq == (unit.take(SparkParams.dC) ++ unit.drop(SparkParams.dC + SparkParams.dP)).toSeq)
     assert(x(emb.outDim + 5) == 0.2)
     // Without contention, the QS prefix is the runtime subQ view's.
     val prefix = emb.outDim + Features.ndDim
-    assert(features.qs(join.id, unit, 3, 0.0, 0.0).take(prefix).toSeq ==
-      features.subQTrue(join.id, unit).take(prefix).toSeq)
+    assert(runtime.qs(join.id, unit, 3, 0.0, 0.0).take(prefix).toSeq ==
+      runtime.subQ(join.id, unit).take(prefix).toSeq)
   }
 
   test("the subQ views one-hot the join algorithm the simulator would plan") {

@@ -5,18 +5,23 @@ import repro.cluster.{ClusterSpec, CostModel, RuntimeHooks, Simulator}
 import repro.model.{QueryModels, TestModels}
 import repro.moo.FineConfig
 import repro.params.{SparkParams, ThetaP, ThetaS}
-import repro.workload.{JoinAlgo, QueryGraph, SubQ, WorkloadGen}
+import repro.workload.{JoinAlgo, PerturbTruth, QueryGraph, SubQ, WorkloadGen}
 import scala.util.Random
 
 /** θp/θs aggregation (§C.2.1) and the runtime optimizer hooks (§5.2). */
 class RuntimeSpec extends AnyFunSuite {
   private val g = WorkloadGen.queries("tpch")(8) // Q9, 12 subQs
+  // Q8: the subQ reading the most true input (2) is not the one the CBO
+  // believes reads the most (10).
+  private val q8 = WorkloadGen.queries("tpch")(7)
   private val rnd = new Random(12)
 
-  private def randomFine(): FineConfig = FineConfig(
-    Array.fill(SparkParams.dC)(rnd.nextDouble()),
-    Vector.fill(g.numSubQs)(Array.fill(SparkParams.dP)(rnd.nextDouble())),
-    Vector.fill(g.numSubQs)(Array.fill(SparkParams.dS)(rnd.nextDouble())))
+  private def randomFine(q: QueryGraph = g, r: Random = rnd): FineConfig = FineConfig(
+    Array.fill(SparkParams.dC)(r.nextDouble()),
+    Vector.fill(q.numSubQs)(Array.fill(SparkParams.dP)(r.nextDouble())),
+    Vector.fill(q.numSubQs)(Array.fill(SparkParams.dS)(r.nextDouble())))
+
+  private def dominant(q: QueryGraph): Int = q.estimated.subQs.maxBy(_.trueInputBytes).id
 
   test("aggregated broadcast threshold is the min over join subQs, floored at the default") {
     val fc = randomFine()
@@ -37,17 +42,30 @@ class RuntimeSpec extends AnyFunSuite {
   }
 
   test("non-threshold parameters come from the dominant (largest-input) subQ") {
-    val fc = randomFine()
-    val agg = ThetaAggregator.aggregateP(g, fc)
-    val dom = g.subQs.indices.maxBy(i => g.subQs(i).trueInputBytes)
-    assert(agg.shufflePartitions == fc.thetaP(dom).shufflePartitions)
-    assert(agg.advisoryPartitionMb == fc.thetaP(dom).advisoryPartitionMb)
+    assert(dominant(q8) != q8.subQs.maxBy(_.trueInputBytes).id)
+    for (q <- Seq(g, q8)) {
+      val fc = randomFine(q)
+      val agg = ThetaAggregator.aggregateP(q, fc)
+      val dom = dominant(q)
+      assert(agg.shufflePartitions == fc.thetaP(dom).shufflePartitions, q.name)
+      assert(agg.advisoryPartitionMb == fc.thetaP(dom).advisoryPartitionMb, q.name)
+    }
   }
 
   test("θs aggregation picks the dominant subQ's copy") {
-    val fc = randomFine()
-    val dom = g.subQs.indices.maxBy(i => g.subQs(i).trueInputBytes)
-    assert(ThetaAggregator.aggregateS(g, fc) == fc.thetaS(dom))
+    for (q <- Seq(g, q8)) {
+      val fc = randomFine(q)
+      assert(ThetaAggregator.aggregateS(q, fc) == fc.thetaS(dominant(q)), q.name)
+    }
+  }
+
+  test("aggregation sees only estimates: perturbing the truth moves no submission copy") {
+    (WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")).zipWithIndex.foreach { case (q, i) =>
+      val fc = randomFine(q, new Random(i))
+      val h = PerturbTruth(q, seed = i)
+      assert(ThetaAggregator.aggregateP(h, fc) == ThetaAggregator.aggregateP(q, fc), q.name)
+      assert(ThetaAggregator.aggregateS(h, fc) == ThetaAggregator.aggregateS(q, fc), q.name)
+    }
   }
 
   test("aggregation with no joins falls back to the defaults for thresholds") {

@@ -118,6 +118,20 @@ class WorkloadSpec extends AnyFunSuite {
     }
   }
 
+  test("the estimated graph holds the CBO's statistics, ignores the truth and is idempotent") {
+    (WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")).zipWithIndex.foreach { case (g, i) =>
+      val e = g.estimated
+      g.subQs.zip(e.subQs).foreach { case (s, t) =>
+        assert((t.trueOutBytes, t.trueOutRows, t.cardErrFactor, t.skew) ==
+          ((s.estOutBytes, s.estOutRows, 1.0, 1.0)), s"${g.name}/${s.id}")
+        if (s.isScan) assert((t.trueInputBytes, t.trueInputRows) == ((s.trueInputBytes, s.trueInputRows)))
+        else assert(t.trueInputBytes == s.children.map(g.subQs(_).estOutBytes).sum, s"${g.name}/${s.id}")
+      }
+      assert(PerturbTruth(g, i).estimated == e, g.name)
+      assert(e.estimated == e, g.name)
+    }
+  }
+
   test("QueryGraph rejects non-topological children") {
     intercept[IllegalArgumentException] {
       QueryGraph("bad", Vector(
