@@ -8,8 +8,8 @@ import repro.harness.Table4Harness
   *
   * Assertions pin the paper's headline results: R1 (fine-grained tuning
   * reduces latency substantially, not losing to query-level MO-WS), R2
-  * (HMOOC solves within the 1–2 s cloud budget while MO-WS does not,
-  * giving an order-of-magnitude efficiency gap), R3 (runtime optimization
+  * (HMOOC solves within the 1–2 s cloud budget while MO-WS does not, and
+  * HMOOC3's efficiency is higher than MO-WS's), R3 (runtime optimization
   * adds gains on top of compile-time tuning).
   *
   * TPC-DS thresholds are looser: its 102 queries include many short,

@@ -5,14 +5,12 @@ import repro.params.{Configuration, ThetaC, ThetaP, ThetaS}
 import repro.workload.{JoinAlgo, QueryGraph, SubQ}
 import repro.cluster.CostModel.{ReadMode, SideStats}
 
-/** Execution record of one stage. */
+/** Execution record of one stage: outcomes only, no model input. */
 final case class StageExec(
     subQId: Int,
     algo: Option[JoinAlgo],
     analyticalSec: Double,
-    ioMb: Double,
-    siblingCount: Int,
-    siblingWorkSec: Double)
+    ioMb: Double)
 
 /** Execution record of one query run.
   *
@@ -184,11 +182,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
 
       costs.foreach { case (sub, algo, cost) =>
         stageExecs += StageExec(
-          subQId = sub.id, algo = algo,
-          analyticalSec = stageAnalytical(cost),
-          ioMb = cost.ioMb,
-          siblingCount = subs.size - 1,
-          siblingWorkSec = levelWork - cost.workCoreSec)
+          subQId = sub.id, algo = algo, analyticalSec = stageAnalytical(cost), ioMb = cost.ioMb)
       }
     }
 

@@ -15,6 +15,9 @@ import repro.workload.{JoinAlgo, QueryGraph}
   *     drops `θp` because those choices are already frozen (§4.3);
   *   - rule hints ([[hints]]).
   *
+  * Each non-decision input has one rule per model view: the subQ view sees
+  * the graph's α with β = γ = 0 on every graph; the QS view sees the
+  * graph's α and β and the γ of [[QueryGraph.contention]].
   * [[PlanFeatures]] is the only code that builds these vectors, for the
   * trainer and the predictors alike, so train/serve skew is impossible by
   * construction.
@@ -28,18 +31,18 @@ object Features {
   val hintDim: Int = 8
 
   /** The non-decision block: α (input and output size), β, and γ (sibling
-    * stage count and work).
+    * stage count and their input MB, on α's input-MB scale).
     */
   private[model] def nonDecision(
       inMb: Double, inRows: Double, outMb: Double, outRows: Double,
-      beta: Double, gammaSiblings: Double, gammaWorkSec: Double): Array[Double] = Array(
+      beta: Double, gammaSiblings: Double, gammaMb: Double): Array[Double] = Array(
     math.log1p(math.max(0.0, inMb)) / 15.0,
     math.log1p(math.max(0.0, inRows)) / 25.0,
     math.log1p(math.max(0.0, outMb)) / 15.0,
     math.log1p(math.max(0.0, outRows)) / 25.0,
     beta / 5.0,
     gammaSiblings / 10.0,
-    math.log1p(math.max(0.0, gammaWorkSec)) / 10.0)
+    math.log1p(math.max(0.0, gammaMb)) / 15.0)
 
   /** Rule hints appended after θ: physical-operator one-hot, spill risk,
     * log total cores, log per-task memory, log partition count, and whether
@@ -81,8 +84,9 @@ object Features {
   * [[Trainer]] on every trace run and by [[QueryModels]] when serving.
   *
   * It has one statistics view: the graph it is given. Compile time is a
-  * `PlanFeatures` over [[QueryGraph.estimated]] (CBO estimates, β = 0);
-  * runtime is one over the real graph. Embeddings and non-decision
+  * `PlanFeatures` over [[QueryGraph.estimated]] (CBO estimates); runtime is
+  * one over the real graph. The subQ view is β- and γ-blind on both, as its
+  * training rows (the estimated graph) are. Embeddings and non-decision
   * variables do not depend on `θ` (Fig 6), so each subQ's are computed
   * once here. The planning rules behind the hints are the simulator's own:
   * [[JoinAlgo.choose]] on [[QueryGraph.buildMb]], and
@@ -98,20 +102,20 @@ final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
   private val embedding: Array[Array[Double]] =
     g.subQs.map(s => embedder.embedSubQ(s, s.trueInputRows.toDouble, s.trueInputBytes.toDouble)).toArray
 
-  /** SubQ `i`'s embedding ⊕ non-decision block under contention `γ`. */
-  private def prefix(i: Int, gammaSiblings: Double, gammaWork: Double): Array[Double] = {
+  /** SubQ `i`'s embedding ⊕ non-decision block under `β` and `γ`. */
+  private def prefix(i: Int, beta: Double, gammaSiblings: Double, gammaMb: Double): Array[Double] = {
     val s = g.subQs(i)
     embedding(i) ++ Features.nonDecision(inMb(i), s.trueInputRows.toDouble, s.trueOutBytes / 1048576.0,
-      s.trueOutRows.toDouble, s.skew - 1.0, gammaSiblings, gammaWork)
+      s.trueOutRows.toDouble, beta, gammaSiblings, gammaMb)
   }
 
-  // The subQ model's prefix: no contention.
-  private val subQPrefix: Array[Array[Double]] = Array.tabulate(g.numSubQs)(prefix(_, 0.0, 0.0))
+  // The subQ model's prefix: β = γ = 0.
+  private val subQPrefix: Array[Array[Double]] = Array.tabulate(g.numSubQs)(prefix(_, 0.0, 0.0, 0.0))
 
   private def hints(i: Int, algoCode: Int, conf: Configuration): Array[Double] =
     Features.hints(algoCode, g.subQs(i).isScan, g.writesShuffle(i, g.plannedAlgo(_, conf.p)), inMb(i), conf)
 
-  /** SubQ model input: the graph's statistics, no contention, and the join
+  /** SubQ model input: the graph's α with β = γ = 0, and the join
     * algorithm the rule picks from the graph's build side.
     */
   def subQ(i: Int, unit19: Array[Double]): Array[Double] = {
@@ -120,12 +124,13 @@ final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
     Array.concat(subQPrefix(i), unit19, hints(i, JoinAlgo.code(algo), conf))
   }
 
-  /** QS model input: contention `γ`, the stage's physical join algorithm
-    * (AQE already planned it), and `θp` dropped.
+  /** QS model input: the graph's α and β (`skew − 1`), contention `γ`
+    * (callers pass [[QueryGraph.contention]]), the stage's physical join
+    * algorithm (AQE already planned it), and `θp` dropped.
     */
-  def qs(i: Int, unit19: Array[Double], algoCode: Int, gammaSiblings: Double, gammaWork: Double): Array[Double] = {
+  def qs(i: Int, unit19: Array[Double], algoCode: Int, gammaSiblings: Double, gammaMb: Double): Array[Double] = {
     import SparkParams.{dC, dP, dAll}
-    Array.concat(prefix(i, gammaSiblings, gammaWork),
+    Array.concat(prefix(i, g.subQs(i).skew - 1.0, gammaSiblings, gammaMb),
       unit19.slice(0, dC), unit19.slice(dC + dP, dAll), hints(i, algoCode, Configuration.fromUnit(unit19)))
   }
 
@@ -137,7 +142,7 @@ final class PlanFeatures(g: QueryGraph, embedder: GraphEmbedder) {
     val sinks = g.sinks
     val scanMb = g.totalScanBytes / 1048576.0
     Array.concat(
-      embedder.embedGraph(g, s => (s.trueInputRows.toDouble, s.trueInputBytes.toDouble)),
+      embedder.embedGraph(g),
       Features.nonDecision(scanMb, g.subQs.filter(_.isScan).map(_.trueInputRows.toDouble).sum,
         sinks.map(_.trueOutBytes.toDouble).sum / 1048576.0, sinks.map(_.trueOutRows.toDouble).sum,
         g.subQs.map(_.skew - 1.0).max, 0.0, 0.0),

@@ -121,10 +121,10 @@ final class GraphEmbedder(seed: Long = 7L) extends Serializable {
       Vector.tabulate(sub.ops.size)(i => if (i == 0) Vector.empty else Vector(i - 1)))
 
   /** Embed a whole (possibly collapsed) query graph: per-subQ chains linked
-    * by the stage dependencies. `statsOf` supplies the per-subQ input
-    * statistics (rows, bytes) — estimated at compile time, true at runtime.
+    * by the stage dependencies, each annotated with its subQ's input
+    * statistics under the graph's own view (estimated or true).
     */
-  def embedGraph(g: QueryGraph, statsOf: SubQ => (Double, Double)): Array[Double] = {
+  def embedGraph(g: QueryGraph): Array[Double] = {
     val ops = Vector.newBuilder[OpType]
     val rows = Vector.newBuilder[Double]
     val bytes = Vector.newBuilder[Double]
@@ -134,9 +134,8 @@ final class GraphEmbedder(seed: Long = 7L) extends Serializable {
     var idx = 0
     g.subQs.foreach { sub =>
       firstIdx(sub.id) = idx
-      val (r, bts) = statsOf(sub)
       sub.ops.indices.foreach { i =>
-        ops += sub.ops(i); rows += r; bytes += bts
+        ops += sub.ops(i); rows += sub.trueInputRows.toDouble; bytes += sub.trueInputBytes.toDouble
         val chain = if (i == 0) Vector.empty[Int] else Vector(idx + i - 1)
         val deps =
           if (i == 0) sub.children.map(c => firstIdx(c) + g.subQs(c).ops.size - 1)

@@ -21,8 +21,8 @@ final case class RegModel(mlp: Mlp, yMean: Array[Double], yStd: Array[Double]) {
 
 /** The three trained models of §4.3 plus their shared embedder. The LQP
   * model is trained and reported for Table 3 only: no decision uses it,
-  * because `RuntimeOptimizer` scores `θp` with the subQ model on true
-  * statistics.
+  * because `RuntimeOptimizer` scores `θp` with the subQ model on true α
+  * (β = γ = 0, the subQ model's view).
   */
 final case class Models(embedder: GraphEmbedder, subQ: RegModel, qs: RegModel, lqp: RegModel)
 
@@ -49,22 +49,22 @@ final class QueryModels(val g: QueryGraph, val models: Models, val spec: Cluster
   def predictSubQ(i: Int, unit19: Array[Double]): (Double, Double) =
     models.subQ.predictLatIo(compileTime.subQ(i, unit19))
 
-  /** Same as [[predictSubQ]] but with true runtime statistics (used by the
-    * runtime optimizer to re-score `θp` candidates).
+  /** [[predictSubQ]] on the true α of completed stages, with β = γ = 0 as in
+    * the subQ model's training rows (the runtime optimizer re-scores `θp`).
     */
   def predictSubQTrue(i: Int, unit19: Array[Double]): (Double, Double) =
     models.subQ.predictLatIo(runtime.subQ(i, unit19))
 
   /** Runtime QS model: θp dropped, true statistics, the stage's physical
-    * join algorithm (AQE already planned it), and contention features.
+    * join algorithm (AQE already planned it), and contention `γ` (`g.contention(i)`).
     */
   def predictQs(
       i: Int,
       unit19: Array[Double],
       algoCode: Int,
       gammaSiblings: Double,
-      gammaWork: Double): (Double, Double) =
-    models.qs.predictLatIo(runtime.qs(i, unit19, algoCode, gammaSiblings, gammaWork))
+      gammaMb: Double): (Double, Double) =
+    models.qs.predictLatIo(runtime.qs(i, unit19, algoCode, gammaSiblings, gammaMb))
 
   /** Convert a subQ's predicted (latency, IO) into (latency, cloud cost). */
   def toObjectives(latSec: Double, ioMb: Double, c: ThetaC): (Double, Double) =

@@ -32,10 +32,12 @@ object Trainer {
   private def target(latSec: Double, ioMb: Double): Array[Double] =
     Array(math.log(math.max(1e-5, latSec)), math.log(math.max(1e-5, ioMb)))
 
+  // Xput: the fastest of three timed passes after one untimed (JIT warm-up) pass.
   private def evaluate(model: RegModel, s: Split): TargetMetrics = {
-    val t0 = System.nanoTime()
     val preds = s.testX.map(model.predictLatIo)
-    val elapsed = math.max(1e-9, (System.nanoTime() - t0) / 1e9)
+    val elapsed = math.max(1e-9, Seq.fill(3) {
+      val t0 = System.nanoTime(); s.testX.map(model.predictLatIo); System.nanoTime() - t0
+    }.min / 1e9)
     val latY = s.testY.map(y => math.exp(y(0)))
     val ioY  = s.testY.map(y => math.exp(y(1)))
     TargetMetrics(
@@ -74,10 +76,10 @@ object Trainer {
       run.exec.stages.foreach { st =>
         val y = target(st.analyticalSec, st.ioMb)
         // subQ model: the estimated graph. QS model: the real graph, with
-        // the stage's physical join algorithm and its measured contention.
+        // the stage's physical join algorithm and the graph's contention.
+        val (siblings, siblingMb) = g.contention(st.subQId)
         subQRows += ((compileTime.subQ(st.subQId, conf), y, bucket))
-        qsRows += ((runtime.qs(st.subQId, conf, JoinAlgo.code(st.algo),
-          st.siblingCount.toDouble, st.siblingWorkSec), y, bucket))
+        qsRows += ((runtime.qs(st.subQId, conf, JoinAlgo.code(st.algo), siblings, siblingMb), y, bucket))
       }
       // LQP model: whole plan, end-to-end latency.
       lqpRows += ((runtime.lqp(conf), target(run.exec.wallSec, run.exec.ioMb), bucket))

@@ -10,8 +10,9 @@ import repro.workload.{JoinAlgo, QueryGraph, SubQ}
   * Invoked at the two hook points of Fig 2: when a collapsed logical plan
   * is re-optimized (re-tunes `θp` for the join stages about to be planned)
   * and when a query stage is created (re-tunes `θs`). Decisions are scored
-  * with the learned models over *true* statistics of completed stages and
-  * picked by the user's latency/cost preference.
+  * with the learned models over *true* statistics of completed stages, each
+  * in the view it was trained on (subQ: α, β = γ = 0; QS: α, β and
+  * `g.contention`), and picked by the user's latency/cost preference.
   *
   * Request pruning (§C.2.2) happens in the simulator's AQE loop: hooks only
   * fire for join-planning collapsed plans with complete input statistics,
@@ -37,7 +38,7 @@ final class RuntimeOptimizer(
       .map(u => ThetaP.fromUnit(Sampling.refine(u)))
 
   // Candidate θs copies: small grid (2 params only).
-  private val sCandidates: Vector[ThetaS] =
+  private[runtime] val sCandidates: Vector[ThetaS] =
     ThetaS.default +: Sampling.grid(4, SparkParams.dS).map(u => ThetaS.fromUnit(u))
 
   private val thetaC = repro.params.ThetaC.fromUnit(cU)
@@ -81,9 +82,10 @@ final class RuntimeOptimizer(
       algo: Option[JoinAlgo],
       current: ThetaS): ThetaS = {
     val algoCode = JoinAlgo.code(algo)
+    val (siblings, siblingMb) = qm.g.contention(sub.id)
     choose(current, sCandidates) { s =>
       val u = cU ++ currentP.toUnit ++ s.toUnit
-      val (l, io) = qm.predictQs(sub.id, u, algoCode, 0.0, 0.0)
+      val (l, io) = qm.predictQs(sub.id, u, algoCode, siblings, siblingMb)
       qm.toObjectives(l, io, thetaC)
     }
   }

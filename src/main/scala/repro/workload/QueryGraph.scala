@@ -126,6 +126,15 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
     Vector.tabulate(lv.max + 1)(l => subQs.filter(s => lv(s.id) == l))
   }
 
+  /** γ per subQ: the number of other stages on its [[levels]] entry and
+    * their input MB under this graph's statistics, which AQE knows when the
+    * stage is created (every child of that level has completed).
+    */
+  lazy val contention: Vector[(Int, Double)] = subQs.map { s =>
+    val others = levels.find(_.exists(_.id == s.id)).get.filter(_.id != s.id)
+    (others.size, others.map(_.trueInputBytes).sum / 1048576.0)
+  }
+
   /** The subQ that reads each subQ's output; sinks have none. */
   lazy val parentOf: Map[Int, Int] = subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
 

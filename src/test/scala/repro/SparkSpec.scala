@@ -8,21 +8,22 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (48g when unset; ROADMAP.md's Tier-1 command sets half
   * of the machine's memory, clamped to 2–8 GB). The session runs on a local
-  * master (`SPARK_MASTER`, default
-  * `local[*]`) with 64 shuffle partitions (`SPARK_SHUFFLE_PARTITIONS`) and
-  * broadcast joins off (`spark.sql.autoBroadcastJoinThreshold` = -1).
+  * master (`SPARK_MASTER`, default `local[*]`) with 64 shuffle partitions
+  * (`SparkSpec.shufflePartitions`) and broadcast joins off
+  * (`spark.sql.autoBroadcastJoinThreshold` = -1).
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
 }
 
 object SparkSpec {
+  val shufflePartitions: Int = 64
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", shufflePartitions.toLong)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells whether the driver heap setting

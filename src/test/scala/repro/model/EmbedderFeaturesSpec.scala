@@ -24,7 +24,7 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
   }
 
   test("embeddings are bounded by the tanh nonlinearity") {
-    val e = emb.embedGraph(g, s => (s.trueInputRows.toDouble, s.trueInputBytes.toDouble))
+    val e = emb.embedGraph(g)
     assert(e.forall(x => x >= -1.0 && x <= 1.0))
   }
 
@@ -42,7 +42,7 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
   }
 
   test("graph embedding differs from any single subQ embedding") {
-    val whole = emb.embedGraph(g, s => (s.trueInputRows.toDouble, s.trueInputBytes.toDouble))
+    val whole = emb.embedGraph(g)
     g.subQs.foreach { s =>
       assert(whole.toSeq != emb.embedSubQ(s, s.trueInputRows.toDouble, s.trueInputBytes.toDouble).toSeq)
     }
@@ -96,10 +96,25 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
     assert(x.length == emb.outDim + Features.ndDim + SparkParams.dC + SparkParams.dS + Features.hintDim)
     assert(theta.toSeq == (unit.take(SparkParams.dC) ++ unit.drop(SparkParams.dC + SparkParams.dP)).toSeq)
     assert(x(emb.outDim + 5) == 0.2)
-    // Without contention, the QS prefix is the runtime subQ view's.
+    assert(x(emb.outDim + 6) == math.log1p(10.0) / 15.0)
+    // Without contention, the QS prefix is the runtime subQ view's except
+    // in the β slot, which holds the graph's skew − 1.
     val prefix = emb.outDim + Features.ndDim
-    assert(runtime.qs(join.id, unit, 3, 0.0, 0.0).take(prefix).toSeq ==
-      runtime.subQ(join.id, unit).take(prefix).toSeq)
+    val qsPrefix = runtime.qs(join.id, unit, 3, 0.0, 0.0).take(prefix)
+    assert(join.skew > 1.0)
+    assert(qsPrefix(emb.outDim + 4) == (join.skew - 1.0) / 5.0)
+    assert(qsPrefix.updated(emb.outDim + 4, 0.0).toSeq == runtime.subQ(join.id, unit).take(prefix).toSeq)
+  }
+
+  test("the subQ views hold β = γ = 0 on the compile-time and the runtime featurizer") {
+    val graphs = WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")
+    assert(graphs.exists(_.subQs.exists(_.skew > 1.0)))
+    graphs.foreach { q =>
+      for (f <- Seq(new PlanFeatures(q.estimated, emb), new PlanFeatures(q, emb)); s <- q.subQs) {
+        val nd = f.subQ(s.id, unit).slice(emb.outDim, emb.outDim + Features.ndDim)
+        assert(nd.drop(4).forall(_ == 0.0), s"${q.name}/${s.id}")
+      }
+    }
   }
 
   test("the subQ views one-hot the join algorithm the simulator would plan") {

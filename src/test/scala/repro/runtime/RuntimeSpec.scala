@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterSpec, CostModel, RuntimeHooks, Simulator}
 import repro.model.{QueryModels, TestModels}
 import repro.moo.FineConfig
-import repro.params.{SparkParams, ThetaP, ThetaS}
+import repro.params.{SparkParams, ThetaC, ThetaP, ThetaS}
 import repro.workload.{JoinAlgo, PerturbTruth, QueryGraph, SubQ, WorkloadGen}
 import scala.util.Random
 
@@ -126,6 +126,34 @@ class RuntimeSpec extends AnyFunSuite {
       sim.execute(g, repro.params.ThetaC.default, compiled, ThetaP.default, ThetaS.default, Some(opt)).wallSec
     }
     assert(run() == run())
+  }
+
+  test("the QS hook scores θs with the stage's contention from the graph, not (0, 0)") {
+    val cU = Array.fill(SparkParams.dC)(0.5)
+    val models = TestModels.untrained(seed = 3)
+    val zeroGammaDiffers = for {
+      q <- WorkloadGen.queries("tpcds")
+      qm = new QueryModels(q, models, ClusterSpec.default)
+      pref <- Seq((0.9, 0.1), (0.5, 0.5), (0.1, 0.9))
+      sub <- q.subQs if !sub.isScan && q.contention(sub.id)._1 > 0
+    } yield {
+      val algo = Option.when(sub.isJoin)(JoinAlgo.SMJ)
+      val opt = new RuntimeOptimizer(qm, cU, pref)
+      // The hook's candidates, re-scored with the given γ.
+      def rescored(siblings: Double, siblingMb: Double): ThetaS =
+        RuntimeOptimizer.pickPreferred((ThetaS.default +: opt.sCandidates).map { s =>
+          val u = cU ++ ThetaP.default.toUnit ++ s.toUnit
+          val (l, io) = qm.predictQs(sub.id, u, JoinAlgo.code(algo), siblings, siblingMb)
+          val (lat, cost) = qm.toObjectives(l, io, ThetaC.fromUnit(cU))
+          (s, lat, cost)
+        }, pref)
+      val (n, mb) = q.contention(sub.id)
+      val hook = opt.onQueryStage(sub, sub.trueInputBytes / 1048576.0, algo, ThetaS.default)
+      assert(hook == rescored(n, mb), s"${q.name}/${sub.id} $pref")
+      rescored(0.0, 0.0) != hook
+    }
+    // γ moves the pick somewhere, so the check above tells the two apart.
+    assert(zeroGammaDiffers.contains(true))
   }
 
   // ---- the pick rule: (candidate, latency, cost), incumbent first --------

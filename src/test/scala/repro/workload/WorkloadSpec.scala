@@ -132,6 +132,27 @@ class WorkloadSpec extends AnyFunSuite {
     }
   }
 
+  test("contention is each subQ's level siblings and their input MB, on all 124 graphs") {
+    val graphs = WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")
+    assert(graphs.size == 124)
+    graphs.foreach { g =>
+      assert(g.contention.size == g.numSubQs, g.name)
+      g.levels.foreach { lv =>
+        lv.foreach { s =>
+          val others = lv.filter(_.id != s.id)
+          val mb = others.map(_.trueInputBytes / 1048576.0).sum
+          val (n, gammaMb) = g.contention(s.id)
+          assert(n == lv.size - 1, s"${g.name}/${s.id}")
+          assert(math.abs(gammaMb - mb) <= 1e-9 * math.max(1.0, mb), s"${g.name}/${s.id}")
+        }
+      }
+      // The scans share level 0, so a scan's siblings are the other scans.
+      val scans = g.subQs.filter(_.isScan)
+      scans.foreach(s => assert(g.contention(s.id)._1 == scans.size - 1, s"${g.name}/${s.id}"))
+    }
+    assert(graphs.exists(g => g.subQs.exists(s => !s.isScan && g.contention(s.id)._1 > 0)))
+  }
+
   test("QueryGraph rejects non-topological children") {
     intercept[IllegalArgumentException] {
       QueryGraph("bad", Vector(
