@@ -46,6 +46,9 @@ object Trainer {
       xputKps = s.testX.length / elapsed / 1000.0)
   }
 
+  // Seeds the trace sample, the embedder and (offset by 1–3) the three heads.
+  private val seed = 42L
+
   /** Collect traces, featurize, train the three models, and report metrics.
     *
     * @param nRuns  number of (query, configuration) simulated runs
@@ -55,7 +58,6 @@ object Trainer {
       spark: SparkSession,
       bench: String,
       nRuns: Int,
-      seed: Long = 42L,
       epochs: Int = 25,
       spec: ClusterSpec = ClusterSpec.default): (Models, ModelReport) = {
 

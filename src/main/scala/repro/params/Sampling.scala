@@ -6,8 +6,10 @@ import scala.util.Random
   *
   * The paper collects training traces with Latin Hypercube Sampling [31] and
   * initializes HMOOC's `θc` candidates by random sampling or grid search
-  * (§5.1.1; LHS here too); the samplers live here so every consumer shares
-  * the same seeding discipline (reproducible in `seed`).
+  * (§5.1.1). Here every candidate set is an LHS draw: the training traces,
+  * HMOOC's pool and `θc` seeds, MO-WS's samples and the runtime hooks'
+  * `θp`/`θs` candidates (all but the traces [[refine]]d), each reproducible
+  * in its `seed`.
   */
 object Sampling {
 
@@ -22,21 +24,6 @@ object Sampling {
       perm.map(s => (s + rnd.nextDouble()) / n)
     }
     Vector.tabulate(n)(i => Vector.tabulate(dim)(d => cols(d)(i)))
-  }
-
-  /** Full-factorial grid with `perDim` levels per dimension (use only for
-    * small `dim`): levels are cell midpoints, so boundary clamping never
-    * collapses points.
-    */
-  def grid(perDim: Int, dim: Int): Vector[Vector[Double]] = {
-    require(perDim > 0 && dim > 0, "need positive perDim and dim")
-    val levels = Vector.tabulate(perDim)(i => (i + 0.5) / perDim)
-    (0 until math.pow(perDim, dim).toInt).toVector.map { idx =>
-      var rest = idx
-      Vector.tabulate(dim) { _ =>
-        val l = levels(rest % perDim); rest /= perDim; l
-      }
-    }
   }
 
   /** Shrink unit coordinates away from the domain boundaries (§6.3: the

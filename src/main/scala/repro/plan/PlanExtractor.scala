@@ -9,7 +9,9 @@ import repro.workload.{OpType, QueryGraph, SubQ}
   *
   * SubQ boundaries follow Spark's stage formation: narrow operators
   * (Filter/Project/...) pipeline into the stage of their child, while
-  * joins, aggregates and unions start a new stage fed by exchanges.
+  * joins, aggregates and unions start a new stage fed by exchanges. A
+  * stage's output is the statistics of its topmost node, which is what its
+  * parent reads.
   * Statistics come from Catalyst's cost-based optimizer (`plan.stats`),
   * i.e. exactly the `α_cbo` the paper's compile-time models consume.
   * Only childless nodes become scans; any other multi-input node (e.g. a
@@ -51,8 +53,10 @@ object PlanExtractor {
     }
 
     // Narrow operators pipelined into an existing stage (Spark folds
-    // Filter/Project/Sort into the stage of their child).
+    // Filter/Project/Sort into the stage of their child), and the statistics
+    // of each stage's topmost node, which its parent reads as input.
     val extraOps = collection.mutable.Map.empty[Int, Vector[OpType]].withDefaultValue(Vector.empty)
+    val outOf = collection.mutable.Map.empty[Int, (Long, Long)]
 
     def build(p: LogicalPlan): Ref = p match {
       case j: Join =>
@@ -73,12 +77,11 @@ object PlanExtractor {
         val depth = kids.map(_.depth).max
         Ref(mk(Vector(OpType.Union, OpType.Exchange), kids.map(_.id).toVector, None,
           ins.map(_._1).sum, ins.map(_._2).sum, ob, or, depth), depth)
-      case narrow if narrow.children.size == 1 && opOf(narrow).isDefined =>
-        val c = build(narrow.children.head)
-        extraOps(c.id) = extraOps(c.id) :+ opOf(narrow).get
+      case unary if unary.children.size == 1 =>
+        val c = build(unary.children.head)
+        opOf(unary).foreach(op => extraOps(c.id) = extraOps(c.id) :+ op)
+        outOf(c.id) = statsOf(unary)
         c
-      case other if other.children.size == 1 =>
-        build(other.children.head)
       case leaf if leaf.children.isEmpty =>
         val (b, r) = statsOf(leaf)
         Ref(mk(Vector(OpType.Scan, OpType.Exchange), Vector.empty,
@@ -90,14 +93,12 @@ object PlanExtractor {
 
     build(plan)
     val raw = subQs.result()
-    // Fold the narrow operators collected along the way into their stages.
+    // Fold the narrow operators and top statistics collected along the way
+    // into their stages.
     val folded = raw.map { s =>
-      val extras = extraOps(s.id)
-      if (extras.isEmpty) s
-      else {
-        val (pre, post) = s.ops.span(_ != OpType.Exchange)
-        s.copy(ops = pre ++ extras ++ post)
-      }
+      val (pre, post) = s.ops.span(_ != OpType.Exchange)
+      val (ob, or) = outOf.getOrElse(s.id, (s.trueOutBytes, s.trueOutRows))
+      s.copy(ops = pre ++ extraOps(s.id) ++ post, trueOutBytes = ob, trueOutRows = or)
     }
     QueryGraph(name, folded)
   }

@@ -2,6 +2,7 @@ package repro.runtime
 
 import repro.cluster.{CostModel, RuntimeHooks}
 import repro.model.QueryModels
+import repro.moo.Pareto
 import repro.params.{Sampling, SparkParams, ThetaP, ThetaS}
 import repro.workload.{JoinAlgo, QueryGraph, SubQ}
 
@@ -12,7 +13,9 @@ import repro.workload.{JoinAlgo, QueryGraph, SubQ}
   * and when a query stage is created (re-tunes `θs`). Decisions are scored
   * with the learned models over *true* statistics of completed stages, each
   * in the view it was trained on (subQ: α, β = γ = 0; QS: α, β and
-  * `g.contention`), and picked by the user's latency/cost preference.
+  * `g.contention`). Each hook recommends as compile time does: WUN under
+  * the user's latency/cost preference over the Pareto set of the current
+  * copy and its candidates (§3.3.2).
   *
   * Request pruning (§C.2.2) happens in the simulator's AQE loop: hooks only
   * fire for join-planning collapsed plans with complete input statistics,
@@ -30,16 +33,16 @@ final class RuntimeOptimizer(
     */
   var optTimeSec: Double = 0.0
 
-  // Candidate θp copies: a fixed 23-point LHS pool (seed 91) plus Spark
-  // defaults; the current copy is always added at scoring time so "keep" is
-  // an option.
-  private val pCandidates: Vector[ThetaP] =
+  // Candidate θp and θs copies, drawn as HMOOC's pool is: Spark defaults
+  // plus a fixed refined LHS. The current copy is added at scoring time so
+  // "keep" is an option.
+  private[runtime] val pCandidates: Vector[ThetaP] =
     ThetaP.default +: Sampling.latinHypercube(23, SparkParams.dP, 91L)
       .map(u => ThetaP.fromUnit(Sampling.refine(u)))
 
-  // Candidate θs copies: small grid (2 params only).
   private[runtime] val sCandidates: Vector[ThetaS] =
-    ThetaS.default +: Sampling.grid(4, SparkParams.dS).map(u => ThetaS.fromUnit(u))
+    ThetaS.default +: Sampling.latinHypercube(16, SparkParams.dS, 92L)
+      .map(u => ThetaS.fromUnit(Sampling.refine(u)))
 
   private val thetaC = repro.params.ThetaC.fromUnit(cU)
 
@@ -48,12 +51,14 @@ final class RuntimeOptimizer(
   private var currentP: ThetaP = pInit
 
   /** Scores `current +: candidates` to predicted (latency, cost), returns
-    * the preferred one, and adds the call's wall time to `optTimeSec`.
+    * the WUN pick over their Pareto set, and adds the call's wall time to
+    * `optTimeSec`. A candidate scored exactly as the current copy collapses
+    * into it, so the current copy is kept then.
     */
   private def choose[T](current: T, candidates: Vector[T])(objectives: T => (Double, Double)): T = {
     val t0 = System.nanoTime()
-    val scored = (current +: candidates).map { t => val (lat, cost) = objectives(t); (t, lat, cost) }
-    val picked = RuntimeOptimizer.pickPreferred(scored, pref)
+    val scored = (current +: candidates).map { t => val (lat, cost) = objectives(t); Pareto.Sol(lat, cost, t) }
+    val picked = Pareto.wun(Pareto.skyline(scored), pref).payload
     optTimeSec += (System.nanoTime() - t0) / 1e9
     picked
   }
@@ -88,25 +93,5 @@ final class RuntimeOptimizer(
       val (l, io) = qm.predictQs(sub.id, u, algoCode, siblings, siblingMb)
       qm.toObjectives(l, io, thetaC)
     }
-  }
-}
-
-object RuntimeOptimizer {
-
-  /** Preference-weighted pick over candidates, objectives normalized across
-    * the candidate set (the WUN discipline applied to a point decision).
-    * The incumbent copy (first element) is kept unless a challenger is
-    * predicted at least ~8% better — hysteresis against model noise.
-    */
-  private[runtime] def pickPreferred[T](scored: Vector[(T, Double, Double)], pref: (Double, Double)): T = {
-    val lmin = scored.map(_._2).min; val lr = math.max(1e-12, scored.map(_._2).max - lmin)
-    val cmin = scored.map(_._3).min; val cr = math.max(1e-12, scored.map(_._3).max - cmin)
-    def weighted(l: Double, c: Double): Double =
-      pref._1 * (l - lmin + 1e-12) / lr + pref._2 * (c - cmin + 1e-12) / cr
-    val incumbent = scored.head
-    val best = scored.minBy { case (_, l, c) => weighted(l, c) }
-    val incScore = weighted(incumbent._2, incumbent._3)
-    val bestScore = weighted(best._2, best._3)
-    if (bestScore < incScore - 0.08 * math.max(incScore, 0.1)) best._1 else incumbent._1
   }
 }

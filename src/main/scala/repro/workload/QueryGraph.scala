@@ -102,7 +102,10 @@ final case class SubQ(
 }
 
 /** A query as a DAG of subQs — the compile-time analogue of the physical
-  * plan's DAG of query stages (§4.1). SubQs are stored in topological order.
+  * plan's DAG of query stages (§4.1). SubQs are stored in topological order,
+  * and every stage but a scan reads exactly the bytes and rows its children
+  * write. The constructor rejects a graph that breaks either rule, or that
+  * has a scan with inputs or a join without exactly two.
   */
 final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
   require(subQs.nonEmpty, s"$name: empty query graph")
@@ -114,6 +117,13 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
     s"$name: a scan stage must not read other stages")
   require(subQs.forall(s => !s.isJoin || s.children.size == 2),
     s"$name: a join stage must read exactly two stages")
+  for (s <- subQs if !s.isScan) {
+    val kids = s.children.map(subQs)
+    val (kidBytes, kidRows) = (kids.map(_.trueOutBytes).sum, kids.map(_.trueOutRows).sum)
+    require(s.trueInputBytes == kidBytes && s.trueInputRows == kidRows,
+      s"$name: subQ ${s.id} reads ${s.trueInputBytes} bytes / ${s.trueInputRows} rows, " +
+        s"but its children write $kidBytes / $kidRows")
+  }
 
   def numSubQs: Int = subQs.size
 

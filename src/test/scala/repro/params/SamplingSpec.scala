@@ -31,17 +31,6 @@ class SamplingSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Sampling.latinHypercube(3, 0, 1))
   }
 
-  test("grid enumerates perDim^dim midpoint levels") {
-    val g = Sampling.grid(3, 2)
-    assert(g.size == 9)
-    assert(g.flatten.toSet == Set(0.5 / 3, 1.5 / 3, 2.5 / 3))
-    assert(g.distinct.size == 9)
-  }
-
-  test("grid rejects non-positive sizes") {
-    intercept[IllegalArgumentException](Sampling.grid(0, 2))
-  }
-
   test("refine shrinks coordinates away from the boundaries") {
     forAllSeeds() { rnd =>
       val u = Vector.fill(10)(rnd.nextDouble())

@@ -39,6 +39,15 @@ class PlanExtractorSpec extends SparkSpec {
       }
       assert(g.subQs.count(_.isScan) == q.tables.size, q.name)
     }
+
+    test(s"${q.name}: each stage reads what its children's top nodes write") {
+      val g = PlanExtractor.extract(sqlDf(q.sql), q.name)
+      g.subQs.filterNot(_.isScan).foreach { s =>
+        val kids = s.children.map(g.subQs)
+        assert(s.trueInputBytes == kids.map(_.trueOutBytes).sum, s"${q.name}/${s.id} bytes")
+        assert(s.trueInputRows == kids.map(_.trueOutRows).sum, s"${q.name}/${s.id} rows")
+      }
+    }
   }
 
   test("scan stages carry Catalyst CBO size estimates (α_cbo)") {

@@ -3,7 +3,7 @@ package repro.runtime
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.{ClusterSpec, CostModel, RuntimeHooks, Simulator}
 import repro.model.{QueryModels, TestModels}
-import repro.moo.FineConfig
+import repro.moo.{FineConfig, Pareto}
 import repro.params.{SparkParams, ThetaC, ThetaP, ThetaS}
 import repro.workload.{JoinAlgo, PerturbTruth, QueryGraph, SubQ, WorkloadGen}
 import scala.util.Random
@@ -85,9 +85,11 @@ class RuntimeSpec extends AnyFunSuite {
 
   // ---- runtime optimizer -------------------------------------------------
 
+  private val cU = Array.fill(SparkParams.dC)(0.5)
+
   private def optimizer(): RuntimeOptimizer = {
     val qm = new QueryModels(g, TestModels.untrained(), ClusterSpec.default)
-    new RuntimeOptimizer(qm, Array.fill(SparkParams.dC)(0.5), pref = (0.9, 0.1))
+    new RuntimeOptimizer(qm, cU, pref = (0.9, 0.1))
   }
 
   test("hooks count their invocations and time") {
@@ -128,9 +130,66 @@ class RuntimeSpec extends AnyFunSuite {
     assert(run() == run())
   }
 
+  // The hooks' rule and objectives, applied here from outside: WUN over the
+  // Pareto set of `current +: candidates` scored by `objectives`.
+  private def wunPick[T](current: T, candidates: Vector[T], pref: (Double, Double))(
+      objectives: T => (Double, Double)): T =
+    Pareto.wun(Pareto.skyline((current +: candidates).map { t =>
+      val (lat, cost) = objectives(t); Pareto.Sol(lat, cost, t)
+    }), pref).payload
+
+  private def lqpObjectives(qm: QueryModels, ready: Vector[SubQ])(p: ThetaP): (Double, Double) = {
+    val u = cU ++ p.toUnit ++ ThetaS.default.toUnit
+    ready.map { j => val (l, io) = qm.predictSubQTrue(j.id, u); qm.toObjectives(l, io, ThetaC.fromUnit(cU)) }
+      .foldLeft((0.0, 0.0)) { case ((lat, cost), (l, c)) => (lat + l, cost + c) }
+  }
+
+  private def qsObjectives(qm: QueryModels, sub: SubQ, algo: Option[JoinAlgo], gamma: (Double, Double))(
+      s: ThetaS): (Double, Double) = {
+    val u = cU ++ ThetaP.default.toUnit ++ s.toUnit
+    val (l, io) = qm.predictQs(sub.id, u, JoinAlgo.code(algo), gamma._1, gamma._2)
+    qm.toObjectives(l, io, ThetaC.fromUnit(cU))
+  }
+
+  test("both hooks recommend by WUN over the Pareto set of their re-scored candidates") {
+    val qm = new QueryModels(g, TestModels.untrained(), ClusterSpec.default)
+    // Incumbents off the candidate list: a fixed copy, and the hook's pick
+    // from it nudged, which scores close to that pick.
+    def nudged(u: Vector[Double]): Vector[Double] = u.map(x => math.min(1.0, x + 0.02))
+    val pFixed = ThetaP.fromUnit(Vector.fill(SparkParams.dP)(0.3))
+    val sFixed = ThetaS.fromUnit(Vector.fill(SparkParams.dS)(0.3))
+    var replaced = 0
+    for (pref <- Seq((1.0, 0.0), (0.9, 0.1), (0.5, 0.5), (0.1, 0.9), (0.0, 1.0))) {
+      g.levels.map(_.filter(_.isJoin)).filter(_.nonEmpty).foreach { ready =>
+        def hook(current: ThetaP): ThetaP = {
+          val opt = new RuntimeOptimizer(qm, cU, pref)
+          val picked = opt.onCollapsedPlan(g, ready, Map.empty, current)
+          assert(picked == wunPick(current, opt.pCandidates, pref)(lqpObjectives(qm, ready)),
+            s"${ready.map(_.id)} $pref")
+          if (picked != current) replaced += 1
+          picked
+        }
+        hook(ThetaP.fromUnit(nudged(hook(pFixed).toUnit)))
+      }
+      g.subQs.filterNot(_.isScan).foreach { sub =>
+        val algo = Option.when(sub.isJoin)(JoinAlgo.SMJ)
+        val (n, mb) = g.contention(sub.id)
+        def hook(current: ThetaS): ThetaS = {
+          val opt = new RuntimeOptimizer(qm, cU, pref)
+          val picked = opt.onQueryStage(sub, sub.trueInputBytes / 1048576.0, algo, current)
+          assert(picked == wunPick(current, opt.sCandidates, pref)(qsObjectives(qm, sub, algo, (n, mb))),
+            s"${sub.id} $pref")
+          if (picked != current) replaced += 1
+          picked
+        }
+        hook(ThetaS.fromUnit(nudged(hook(sFixed).toUnit)))
+      }
+    }
+    assert(replaced > 0)
+  }
+
   test("the QS hook scores θs with the stage's contention from the graph, not (0, 0)") {
-    val cU = Array.fill(SparkParams.dC)(0.5)
-    val models = TestModels.untrained(seed = 3)
+    val models = TestModels.untrained(seed = 5)
     val zeroGammaDiffers = for {
       q <- WorkloadGen.queries("tpcds")
       qm = new QueryModels(q, models, ClusterSpec.default)
@@ -140,45 +199,14 @@ class RuntimeSpec extends AnyFunSuite {
       val algo = Option.when(sub.isJoin)(JoinAlgo.SMJ)
       val opt = new RuntimeOptimizer(qm, cU, pref)
       // The hook's candidates, re-scored with the given γ.
-      def rescored(siblings: Double, siblingMb: Double): ThetaS =
-        RuntimeOptimizer.pickPreferred((ThetaS.default +: opt.sCandidates).map { s =>
-          val u = cU ++ ThetaP.default.toUnit ++ s.toUnit
-          val (l, io) = qm.predictQs(sub.id, u, JoinAlgo.code(algo), siblings, siblingMb)
-          val (lat, cost) = qm.toObjectives(l, io, ThetaC.fromUnit(cU))
-          (s, lat, cost)
-        }, pref)
+      def rescored(gamma: (Double, Double)): ThetaS =
+        wunPick(ThetaS.default, opt.sCandidates, pref)(qsObjectives(qm, sub, algo, gamma))
       val (n, mb) = q.contention(sub.id)
       val hook = opt.onQueryStage(sub, sub.trueInputBytes / 1048576.0, algo, ThetaS.default)
-      assert(hook == rescored(n, mb), s"${q.name}/${sub.id} $pref")
-      rescored(0.0, 0.0) != hook
+      assert(hook == rescored((n, mb)), s"${q.name}/${sub.id} $pref")
+      rescored((0.0, 0.0)) != hook
     }
     // γ moves the pick somewhere, so the check above tells the two apart.
     assert(zeroGammaDiffers.contains(true))
-  }
-
-  // ---- the pick rule: (candidate, latency, cost), incumbent first --------
-
-  private def pick(pref: (Double, Double), scored: (String, Double, Double)*): String =
-    RuntimeOptimizer.pickPreferred(scored.toVector, pref)
-
-  test("the hysteresis keeps the incumbent when differences are small") {
-    // Normalized scores: incumbent 0.05/10.05 ≈ 0.005, best 0: inside the
-    // margin of 0.08 · max(score, 0.1) = 0.008.
-    assert(pick((1.0, 0.0), ("incumbent", 10.0, 1.0), ("better", 9.95, 1.0), ("worst", 20.0, 1.0)) ==
-      "incumbent")
-  }
-
-  test("the hysteresis replaces the incumbent beyond the margin") {
-    // Incumbent 1/11 ≈ 0.091 above the best: beyond the 0.008 margin.
-    assert(pick((1.0, 0.0), ("incumbent", 10.0, 1.0), ("better", 9.0, 1.0), ("worst", 20.0, 1.0)) ==
-      "better")
-  }
-
-  test("preference (1, 0) picks the minimum latency") {
-    assert(pick((1.0, 0.0), ("incumbent", 30.0, 1.0), ("fast", 10.0, 5.0), ("cheap", 20.0, 0.5)) == "fast")
-  }
-
-  test("preference (0, 1) picks the minimum cost") {
-    assert(pick((0.0, 1.0), ("incumbent", 30.0, 1.0), ("fast", 10.0, 5.0), ("cheap", 20.0, 0.5)) == "cheap")
   }
 }

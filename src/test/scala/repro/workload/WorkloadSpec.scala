@@ -183,6 +183,15 @@ class WorkloadSpec extends AnyFunSuite {
     assert(e.getMessage.contains("bad-join"))
   }
 
+  test("QueryGraph rejects a stage that does not read what its children write") {
+    val join = SubQ(2, Vector(OpType.Join), Vector(0, 1), None, 2, 2, 1, 1, 1.0, 1.0, 1)
+    QueryGraph("consistent", Vector(scan(0), scan(1), join))
+    for (bad <- Seq(join.copy(trueInputBytes = 3), join.copy(trueInputRows = 1))) {
+      val e = intercept[IllegalArgumentException](QueryGraph("bad-input", Vector(scan(0), scan(1), bad)))
+      assert(e.getMessage.contains("bad-input") && e.getMessage.contains("subQ 2"), e.getMessage)
+    }
+  }
+
   test("totalScanBytes sums scan inputs only") {
     val g = WorkloadGen.queries("tpch")(2)
     assert(g.totalScanBytes == g.subQs.filter(_.isScan).map(_.trueInputBytes).sum)
