@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.harness.{Calibration, Table5Harness}
+import repro.moo.Pareto
 
 /** Bench reproducing Table 5 (latency and cost adapting to preferences):
   * SO-FW (fixed-weight single objective) vs HMOOC3+ across five preference
@@ -39,9 +40,8 @@ class Table5Bench extends SparkSpec {
       // a plain arg-min (see EXPERIMENTS.md).
       Calibration.table5Prefs.filter(_._2 >= 0.1).foreach { p =>
         val h = byPref(p).h3p; val s = byPref(p).soFw
-        val dominated = s.latChange <= h.latChange && s.costChange <= h.costChange &&
-          (s.latChange < h.latChange || s.costChange < h.costChange)
-        assert(!dominated, s"SO-FW dominates HMOOC3+ at $p: " +
+        assert(!Pareto.dominates((s.latChange, s.costChange), (h.latChange, h.costChange)),
+          s"SO-FW dominates HMOOC3+ at $p: " +
           s"(${s.latChange}, ${s.costChange}) vs (${h.latChange}, ${h.costChange})")
       }
       // And at every *interior* preference (both objectives weighed —

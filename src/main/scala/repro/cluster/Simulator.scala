@@ -127,7 +127,7 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
           if (sub.isScan)
             (Vector(SideStats(sub.trueInputBytes, sub.trueInputRows)), Vector(ReadMode.Table), None)
           else if (sub.isJoin) {
-            val (probe, build) = g.probeBuild(sub, out(_).bytes)
+            val (probe, build) = g.probeBuild(sub)
             val planned = compiled(sub.id)
             val a = runtimeAlgo(planned, out(build).mb, thetaP)
             val probeMode =

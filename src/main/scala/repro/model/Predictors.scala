@@ -49,8 +49,10 @@ final class QueryModels(val g: QueryGraph, val models: Models, val spec: Cluster
   def predictSubQ(i: Int, unit19: Array[Double]): (Double, Double) =
     models.subQ.predictLatIo(compileTime.subQ(i, unit19))
 
-  /** [[predictSubQ]] on the true α of completed stages, with β = γ = 0 as in
-    * the subQ model's training rows (the runtime optimizer re-scores `θp`).
+  /** [[predictSubQ]] on the true graph's α, with β = γ = 0 as in the subQ
+    * model's training rows (the runtime optimizer re-scores `θp`). It reads
+    * the true output of subQ `i` itself, which AQE does not know when it
+    * plans the stage (ROADMAP.md item 1).
     */
   def predictSubQTrue(i: Int, unit19: Array[Double]): (Double, Double) =
     models.subQ.predictLatIo(runtime.subQ(i, unit19))

@@ -34,16 +34,13 @@ object PlanExtractor {
     }
 
     def mk(ops: Vector[OpType], children: Vector[Int], table: Option[String],
-           inBytes: Long, inRows: Long, outBytes: Long, outRows: Long, depth: Int): Int = {
+           inBytes: Long, inRows: Long, outBytes: Long, outRows: Long): Int = {
       val id = nextId
       nextId += 1
       subQs += SubQ(id, ops, children, table, inBytes, inRows, outBytes, outRows,
-        cardErrFactor = 1.0, skew = 1.0, joinDepth = depth)
+        cardErrFactor = 1.0, skew = 1.0)
       id
     }
-
-    // A built subtree: the id of its top subQ and its join depth.
-    final case class Ref(id: Int, depth: Int)
 
     def opOf(p: LogicalPlan): Option[OpType] = p match {
       case _: Filter  => Some(OpType.Filter)
@@ -58,34 +55,31 @@ object PlanExtractor {
     val extraOps = collection.mutable.Map.empty[Int, Vector[OpType]].withDefaultValue(Vector.empty)
     val outOf = collection.mutable.Map.empty[Int, (Long, Long)]
 
-    def build(p: LogicalPlan): Ref = p match {
+    // Builds the stages of `p`'s subtree; returns the id of its top subQ.
+    def build(p: LogicalPlan): Int = p match {
       case j: Join =>
         val l = build(j.left); val r = build(j.right)
         val (lb, lr) = statsOf(j.left); val (rb, rr) = statsOf(j.right)
         val (ob, or) = statsOf(j)
-        val depth = math.max(l.depth, r.depth) + 1
-        Ref(mk(Vector(OpType.Join, OpType.Exchange), Vector(l.id, r.id), None,
-          lb + rb, lr + rr, ob, or, depth), depth)
+        mk(Vector(OpType.Join, OpType.Exchange), Vector(l, r), None, lb + rb, lr + rr, ob, or)
       case a: Aggregate =>
         val c = build(a.child)
         val (ib, ir) = statsOf(a.child); val (ob, or) = statsOf(a)
-        Ref(mk(Vector(OpType.Aggregate), Vector(c.id), None, ib, ir, ob, or, c.depth), c.depth)
+        mk(Vector(OpType.Aggregate), Vector(c), None, ib, ir, ob, or)
       case u: Union =>
         val kids = u.children.map(build)
         val (ob, or) = statsOf(u)
         val ins = u.children.map(statsOf)
-        val depth = kids.map(_.depth).max
-        Ref(mk(Vector(OpType.Union, OpType.Exchange), kids.map(_.id).toVector, None,
-          ins.map(_._1).sum, ins.map(_._2).sum, ob, or, depth), depth)
+        mk(Vector(OpType.Union, OpType.Exchange), kids.toVector, None,
+          ins.map(_._1).sum, ins.map(_._2).sum, ob, or)
       case unary if unary.children.size == 1 =>
         val c = build(unary.children.head)
-        opOf(unary).foreach(op => extraOps(c.id) = extraOps(c.id) :+ op)
-        outOf(c.id) = statsOf(unary)
+        opOf(unary).foreach(op => extraOps(c) = extraOps(c) :+ op)
+        outOf(c) = statsOf(unary)
         c
       case leaf if leaf.children.isEmpty =>
         val (b, r) = statsOf(leaf)
-        Ref(mk(Vector(OpType.Scan, OpType.Exchange), Vector.empty,
-          Some(leaf.nodeName.toLowerCase), b, r, b, r, 0), 0)
+        mk(Vector(OpType.Scan, OpType.Exchange), Vector.empty, Some(leaf.nodeName.toLowerCase), b, r, b, r)
       case other =>
         throw new IllegalArgumentException(
           s"cannot model plan node ${other.nodeName} with ${other.children.size} children as subQs")

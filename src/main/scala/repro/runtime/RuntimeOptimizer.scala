@@ -11,11 +11,12 @@ import repro.workload.{JoinAlgo, QueryGraph, SubQ}
   * Invoked at the two hook points of Fig 2: when a collapsed logical plan
   * is re-optimized (re-tunes `θp` for the join stages about to be planned)
   * and when a query stage is created (re-tunes `θs`). Decisions are scored
-  * with the learned models over *true* statistics of completed stages, each
-  * in the view it was trained on (subQ: α, β = γ = 0; QS: α, β and
-  * `g.contention`). Each hook recommends as compile time does: WUN under
-  * the user's latency/cost preference over the Pareto set of the current
-  * copy and its candidates (§3.3.2).
+  * with the learned models over the whole true graph, each in the view it
+  * was trained on (subQ: α, β = γ = 0; QS: α, β and `g.contention`). So
+  * they read the true output of the stage being tuned, which AQE cannot
+  * know when it plans that stage (ROADMAP.md item 1). Each hook recommends
+  * as compile time does: WUN under the user's latency/cost preference over
+  * the Pareto set of the current copy and its candidates (§3.3.2).
   *
   * Request pruning (§C.2.2) happens in the simulator's AQE loop: hooks only
   * fire for join-planning collapsed plans with complete input statistics,

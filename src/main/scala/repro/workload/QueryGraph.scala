@@ -76,7 +76,6 @@ object JoinAlgo {
   *                       cardinality (1.0 = perfect estimate)
   * @param skew           partition-size skew: max/mean ratio of the stage's
   *                       input partition sizes (β in the paper; 1.0 = uniform)
-  * @param joinDepth      number of joins beneath (and including) this stage
   */
 final case class SubQ(
     id: Int,
@@ -88,17 +87,10 @@ final case class SubQ(
     trueOutBytes: Long,
     trueOutRows: Long,
     cardErrFactor: Double,
-    skew: Double,
-    joinDepth: Int) {
+    skew: Double) {
 
   def isScan: Boolean = ops.contains(OpType.Scan)
   def isJoin: Boolean = ops.contains(OpType.Join)
-
-  /** CBO-estimated output bytes. */
-  def estOutBytes: Long = math.max(1L, (trueOutBytes * cardErrFactor).toLong)
-
-  /** CBO-estimated output rows. */
-  def estOutRows: Long = math.max(1L, (trueOutRows * cardErrFactor).toLong)
 }
 
 /** A query as a DAG of subQs — the compile-time analogue of the physical
@@ -127,37 +119,32 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
 
   def numSubQs: Int = subQs.size
 
-  /** The stage schedule: childless stages (the scans) at level 0, every
-    * other subQ one level above its deepest child; ids ascend within a level.
-    */
-  lazy val levels: Vector[Vector[SubQ]] = {
-    val lv = new Array[Int](numSubQs)
-    subQs.foreach(s => lv(s.id) = s.children.map(lv(_) + 1).maxOption.getOrElse(0))
-    Vector.tabulate(lv.max + 1)(l => subQs.filter(s => lv(s.id) == l))
-  }
+  /** Each subQ's stage-schedule level: 0 for a scan, else one above its deepest child. */
+  lazy val levelOf: Vector[Int] =
+    subQs.foldLeft(Vector.empty[Int])((lv, s) => lv :+ s.children.map(lv(_) + 1).maxOption.getOrElse(0))
 
-  /** γ per subQ: the number of other stages on its [[levels]] entry and
+  /** The stage schedule: the subQs on each [[levelOf]] level, ids ascending. */
+  lazy val levels: Vector[Vector[SubQ]] =
+    Vector.tabulate(levelOf.max + 1)(l => subQs.filter(s => levelOf(s.id) == l))
+
+  /** γ per subQ: the number of other stages on its [[levelOf]] level and
     * their input MB under this graph's statistics, which AQE knows when the
     * stage is created (every child of that level has completed).
     */
   lazy val contention: Vector[(Int, Double)] = subQs.map { s =>
-    val others = levels.find(_.exists(_.id == s.id)).get.filter(_.id != s.id)
+    val others = levels(levelOf(s.id)).filter(_.id != s.id)
     (others.size, others.map(_.trueInputBytes).sum / 1048576.0)
   }
 
   /** The subQ that reads each subQ's output; sinks have none. */
   lazy val parentOf: Map[Int, Int] = subQs.flatMap(s => s.children.map(_ -> s.id)).toMap
 
-  /** The query as compile time believes it to be: the same stages, in
-    * which the `true*` fields hold what the CBO believes. Each subQ's output
-    * is its estimate (`cardErrFactor` 1.0); skew is unknown (1.0, so β = 0);
-    * a scan reads its table, which the CBO sizes exactly; every other stage
-    * reads the sum of its children's estimated outputs. Every compile-time
-    * decision reads this graph, so no true statistic reaches one.
+  /** This graph with `f` applied to each subQ in id order; then every
+    * non-scan stage reads what its children write (the sums of their output
+    * bytes and rows), while a scan keeps the input `f` gives it.
     */
-  lazy val estimated: QueryGraph = {
-    val outs = subQs.map(s => s.copy(trueOutBytes = s.estOutBytes, trueOutRows = s.estOutRows,
-      cardErrFactor = 1.0, skew = 1.0))
+  def withOutputs(f: SubQ => SubQ): QueryGraph = {
+    val outs = subQs.map(f)
     copy(subQs = outs.map { s =>
       if (s.isScan) s
       else {
@@ -167,19 +154,32 @@ final case class QueryGraph(name: String, subQs: Vector[SubQ]) {
     })
   }
 
-  /** Order a join's two children as (probe, build): the build side is the
-    * one with fewer `bytes` (the second child on a tie).
+  /** The query as compile time believes it to be: the same stages, in
+    * which the `true*` fields hold what the CBO believes. Each subQ's output
+    * is its estimate, the true output times `cardErrFactor` (then 1.0); skew
+    * is unknown (1.0, so β = 0); a scan reads its table, which the CBO sizes
+    * exactly; every other stage reads the sum of its children's estimated
+    * outputs. Every compile-time decision reads this graph, so no true
+    * statistic reaches one.
     */
-  def probeBuild(join: SubQ, bytes: Int => Long): (Int, Int) = {
+  lazy val estimated: QueryGraph = withOutputs { s =>
+    def est(x: Long): Long = math.max(1L, (x * s.cardErrFactor).toLong)
+    s.copy(trueOutBytes = est(s.trueOutBytes), trueOutRows = est(s.trueOutRows), cardErrFactor = 1.0, skew = 1.0)
+  }
+
+  /** Order a join's two children as (probe, build): the build side writes
+    * fewer bytes under this graph's statistics (the second child on a tie).
+    */
+  def probeBuild(join: SubQ): (Int, Int) = {
     val Vector(a, b) = join.children
-    if (bytes(a) >= bytes(b)) (a, b) else (b, a)
+    if (subQs(a).trueOutBytes >= subQs(b).trueOutBytes) (a, b) else (b, a)
   }
 
   /** Per subQ, a join's build-side output MB under this graph's
     * statistics; 0 for any other stage.
     */
   lazy val buildMb: Vector[Double] = subQs.map { s =>
-    if (s.isJoin) subQs(probeBuild(s, subQs(_).trueOutBytes)._2).trueOutBytes / 1048576.0 else 0.0
+    if (s.isJoin) subQs(probeBuild(s)._2).trueOutBytes / 1048576.0 else 0.0
   }
 
   /** The join algorithm compile time plans for subQ `id` under `p`: the

@@ -54,9 +54,11 @@ object WorkloadGen {
   def genQuery(template: QueryTemplate, variant: Long): QueryGraph = {
     val rnd = new Random(template.name.hashCode.toLong * 1000003L + variant * 7919L)
     val subQs = Vector.newBuilder[SubQ]
-    var nextId = 0
+    // Per subQ id, the joins beneath and including it (cardErr's depth).
+    val depthOf = collection.mutable.ArrayBuffer.empty[Int]
+    def nextId: Int = depthOf.size
 
-    def add(s: SubQ): SubQ = { subQs += s; nextId += 1; s }
+    def add(s: SubQ, depth: Int): SubQ = { subQs += s; depthOf += depth; s }
 
     // Build one join-tree branch; returns its top subQ.
     def buildBranch(tables: Vector[TableSpec]): SubQ = {
@@ -74,8 +76,7 @@ object WorkloadGen {
           trueInputBytes = inBytes, trueInputRows = inRows,
           trueOutBytes = math.max(1L, (inBytes * proj).toLong), trueOutRows = inRows,
           cardErrFactor = cardErr(rnd, 0),
-          skew = 1.0 + math.abs(rnd.nextGaussian()) * 0.2,
-          joinDepth = 0))
+          skew = 1.0 + math.abs(rnd.nextGaussian()) * 0.2), depth = 0)
       }
 
       // Join tree over the scans: mostly fact-chain ⋈ dimension steps, with
@@ -91,7 +92,7 @@ object WorkloadGen {
             (pool(i), pool(j))
           } else (pool.head, pool(1 + rnd.nextInt(pool.size - 1)))
         pool = pool.filterNot(s => s.id == left.id || s.id == right.id)
-        val depth = math.max(left.joinDepth, right.joinDepth) + 1
+        val depth = math.max(depthOf(left.id), depthOf(right.id)) + 1
         // Join output ~ probe-side rows scaled by join selectivity.
         val sel      = 0.25 + rnd.nextDouble() * 1.1
         val outRows  = math.max(1L, (math.max(left.trueOutRows, right.trueOutRows) * sel).toLong)
@@ -107,8 +108,7 @@ object WorkloadGen {
           trueInputRows = left.trueOutRows + right.trueOutRows,
           trueOutBytes = outBytes, trueOutRows = outRows,
           cardErrFactor = cardErr(rnd, depth),
-          skew = 1.0 + math.abs(rnd.nextGaussian()) * (if (rnd.nextDouble() < 0.15) 2.5 else 0.5),
-          joinDepth = depth))
+          skew = 1.0 + math.abs(rnd.nextGaussian()) * (if (rnd.nextDouble() < 0.15) 2.5 else 0.5)), depth)
         pool = joined +: pool
       }
       pool.head
@@ -117,6 +117,7 @@ object WorkloadGen {
     val tops = template.branches.map(buildBranch)
 
     // Union branches (if several), then aggregate.
+    val topDepth = tops.map(t => depthOf(t.id)).max
     val preAgg =
       if (tops.size == 1) tops.head
       else add(SubQ(
@@ -128,9 +129,8 @@ object WorkloadGen {
         trueInputRows = tops.map(_.trueOutRows).sum,
         trueOutBytes = tops.map(_.trueOutBytes).sum,
         trueOutRows = tops.map(_.trueOutRows).sum,
-        cardErrFactor = cardErr(rnd, tops.map(_.joinDepth).max),
-        skew = 1.0 + math.abs(rnd.nextGaussian()) * 0.3,
-        joinDepth = tops.map(_.joinDepth).max))
+        cardErrFactor = cardErr(rnd, topDepth),
+        skew = 1.0 + math.abs(rnd.nextGaussian()) * 0.3), topDepth)
 
     val groupFactor = math.pow(10.0, -(1.0 + rnd.nextDouble() * 3.0)) // 1e-1 .. 1e-4
     val aggRows  = math.max(1L, (preAgg.trueOutRows * groupFactor).toLong)
@@ -143,9 +143,8 @@ object WorkloadGen {
       baseTable = None,
       trueInputBytes = preAgg.trueOutBytes, trueInputRows = preAgg.trueOutRows,
       trueOutBytes = aggBytes, trueOutRows = aggRows,
-      cardErrFactor = cardErr(rnd, preAgg.joinDepth),
-      skew = 1.0 + math.abs(rnd.nextGaussian()) * 0.3,
-      joinDepth = preAgg.joinDepth))
+      cardErrFactor = cardErr(rnd, topDepth),
+      skew = 1.0 + math.abs(rnd.nextGaussian()) * 0.3), topDepth)
 
     QueryGraph(template.name + (if (variant == 0) "" else s"#$variant"), subQs.result())
   }

@@ -15,11 +15,11 @@ class CostModelSpec extends AnyFunSuite {
 
   private def scanSub(bytes: Long = 1L << 30, rows: Long = 10000000L): SubQ =
     SubQ(0, Vector(OpType.Scan, OpType.Filter, OpType.Exchange), Vector.empty, Some("t"),
-      bytes, rows, bytes / 2, rows, 1.0, 1.2, 0)
+      bytes, rows, bytes / 2, rows, 1.0, 1.2)
 
   private def joinSub(inBytes: Long, inRows: Long, skew: Double = 1.5): SubQ =
     SubQ(2, Vector(OpType.Join, OpType.Exchange), Vector(0, 1), None,
-      inBytes, inRows, inBytes / 2, inRows / 2, 1.0, skew, 1)
+      inBytes, inRows, inBytes / 2, inRows / 2, 1.0, skew)
 
   // ---- partition rules --------------------------------------------------
 

@@ -86,7 +86,7 @@ class SimulatorSpec extends AnyFunSuite {
     var runsDiffer = 0
     canonical.zipWithIndex.foreach { case (g, i) =>
       val h = PerturbTruth(g, seed = i)
-      assert(h.subQs.map(s => (s.estOutBytes, s.estOutRows)) == g.subQs.map(s => (s.estOutBytes, s.estOutRows)))
+      assert(h.estimated == g.estimated, g.name)
       thetaPs.foreach(p => assert(sim.compilePlan(h, _ => p) == sim.compilePlan(g, _ => p), g.name))
       if (sim.runStatic(h, dflt).wallSec != sim.runStatic(g, dflt).wallSec) runsDiffer += 1
     }
@@ -152,15 +152,15 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("probeBuild puts the smaller side last (build)") {
-    val out = sim.trueOut(q3)
-    q3.subQs.filter(_.isJoin).foreach { j =>
-      val (probe, build) = q3.probeBuild(j, out(_).bytes)
-      assert(out(build).bytes <= out(probe).bytes)
+    for (g <- Seq(q3, q3.estimated); j <- g.subQs.filter(_.isJoin)) {
+      val (probe, build) = g.probeBuild(j)
+      assert(Set(probe, build) == j.children.toSet)
+      assert(g.subQs(build).trueOutBytes <= g.subQs(probe).trueOutBytes)
     }
   }
 
   test("estOut differs from trueOut where estimates drift") {
-    assert(q9.subQs.exists(s => s.estOutBytes != s.trueOutBytes))
+    assert(q9.subQs.zip(q9.estimated.subQs).exists { case (s, e) => e.trueOutBytes != s.trueOutBytes })
   }
 
   test("no hooks means no optimization requests are sent") {

@@ -69,10 +69,11 @@ class EmbedderFeaturesSpec extends AnyFunSuite {
     // A scan's compile-time input is its table, so every block is known here.
     val scan = g.subQs.find(_.isScan).get
     val (rows, bytes) = (scan.trueInputRows.toDouble, scan.trueInputBytes.toDouble)
+    val est = g.estimated.subQs(scan.id)
     val expected = Array.concat(
       emb.embedSubQ(scan, rows, bytes),
-      Features.nonDecision(bytes / 1048576.0, rows, scan.estOutBytes / 1048576.0,
-        scan.estOutRows.toDouble, 0.0, 0.0, 0.0),
+      Features.nonDecision(bytes / 1048576.0, rows, est.trueOutBytes / 1048576.0,
+        est.trueOutRows.toDouble, 0.0, 0.0, 0.0),
       unit)
     val x = features.subQ(scan.id, unit)
     assert(x.length == expected.length + Features.hintDim)

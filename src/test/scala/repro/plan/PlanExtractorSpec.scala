@@ -76,10 +76,4 @@ class PlanExtractorSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](PlanExtractor.extract(df, "cogroup"))
     assert(e.getMessage.contains("CoGroup") && e.getMessage.contains("2 children"), e.getMessage)
   }
-
-  test("join depth increases along the join chain") {
-    val g = PlanExtractor.extract(sqlDf(TpchQueries.q5.sql), "q5-depth")
-    val joins = g.subQs.filter(_.isJoin)
-    assert(joins.map(_.joinDepth).max >= 2)
-  }
 }

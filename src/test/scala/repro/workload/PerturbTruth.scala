@@ -9,23 +9,17 @@ import scala.util.Random
 object PerturbTruth {
 
   /** Multiplies each subQ's true output bytes and rows by 2^k, k ∈ {0..3}
-    * drawn from `seed`, divides its `cardErrFactor` by the same power, and
-    * re-derives every non-scan stage's true input from its children. Scaling
-    * by a power of two only upward keeps `estOutBytes`/`estOutRows` exact.
+    * drawn from `seed`, and divides its `cardErrFactor` by the same power;
+    * [[QueryGraph.withOutputs]] re-derives every non-scan stage's true input.
+    * Scaling by a power of two only upward keeps the CBO estimate (true
+    * output × `cardErrFactor`) exact.
     */
   def apply(g: QueryGraph, seed: Long): QueryGraph = {
     val rnd = new Random(seed)
-    val scaled = g.subQs.map { s =>
+    g.withOutputs { s =>
       val f = 1L << rnd.nextInt(4)
       s.copy(trueOutBytes = s.trueOutBytes * f, trueOutRows = s.trueOutRows * f,
         cardErrFactor = s.cardErrFactor / f)
     }
-    g.copy(subQs = scaled.map { s =>
-      if (s.isScan) s
-      else {
-        val kids = s.children.map(scaled)
-        s.copy(trueInputBytes = kids.map(_.trueOutBytes).sum, trueInputRows = kids.map(_.trueOutRows).sum)
-      }
-    })
   }
 }

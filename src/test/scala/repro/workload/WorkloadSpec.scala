@@ -84,9 +84,14 @@ class WorkloadSpec extends AnyFunSuite {
     assert(ds > h)
   }
 
+  private val canonical = WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")
+
   test("deep join outputs are systematically underestimated (CBO bias)") {
-    val deepJoins = (WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds"))
-      .flatMap(_.subQs).filter(s => s.isJoin && s.joinDepth >= 3)
+    // Per subQ, the number of joins beneath (and including) it.
+    def joinDepth(g: QueryGraph): Vector[Int] = g.subQs.foldLeft(Vector.empty[Int]) { (d, s) =>
+      d :+ (s.children.map(d).maxOption.getOrElse(0) + (if (s.isJoin) 1 else 0))
+    }
+    val deepJoins = canonical.flatMap(g => g.subQs.filter(s => s.isJoin && joinDepth(g)(s.id) >= 3))
     val underCount = deepJoins.count(_.cardErrFactor < 1.0)
     assert(underCount.toDouble / deepJoins.size > 0.6,
       s"only $underCount/${deepJoins.size} deep joins underestimated")
@@ -110,30 +115,58 @@ class WorkloadSpec extends AnyFunSuite {
     assert(risky > 10, s"only $risky graphs have a join output as a build side")
   }
 
-  test("estOut applies the cardinality-error factor") {
-    val g = WorkloadGen.queries("tpch")(8)
-    g.subQs.foreach { s =>
-      assert(s.estOutBytes == math.max(1L, (s.trueOutBytes * s.cardErrFactor).toLong))
-      assert(s.estOutRows == math.max(1L, (s.trueOutRows * s.cardErrFactor).toLong))
-    }
-  }
-
   test("the estimated graph holds the CBO's statistics, ignores the truth and is idempotent") {
-    (WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")).zipWithIndex.foreach { case (g, i) =>
+    canonical.zipWithIndex.foreach { case (g, i) =>
       val e = g.estimated
       g.subQs.zip(e.subQs).foreach { case (s, t) =>
+        // The CBO's estimate: the true output times the cardinality error.
+        def est(x: Long) = math.max(1L, (x * s.cardErrFactor).toLong)
         assert((t.trueOutBytes, t.trueOutRows, t.cardErrFactor, t.skew) ==
-          ((s.estOutBytes, s.estOutRows, 1.0, 1.0)), s"${g.name}/${s.id}")
+          ((est(s.trueOutBytes), est(s.trueOutRows), 1.0, 1.0)), s"${g.name}/${s.id}")
+        val kids = s.children.map(e.subQs)
         if (s.isScan) assert((t.trueInputBytes, t.trueInputRows) == ((s.trueInputBytes, s.trueInputRows)))
-        else assert(t.trueInputBytes == s.children.map(g.subQs(_).estOutBytes).sum, s"${g.name}/${s.id}")
+        else assert((t.trueInputBytes, t.trueInputRows) ==
+          ((kids.map(_.trueOutBytes).sum, kids.map(_.trueOutRows).sum)), s"${g.name}/${s.id}")
       }
       assert(PerturbTruth(g, i).estimated == e, g.name)
       assert(e.estimated == e, g.name)
     }
   }
 
+  test("levelOf is 0 for a scan and one above its deepest child otherwise, and levels group by it, on all 124 graphs") {
+    canonical.foreach { g =>
+      g.subQs.foreach { s =>
+        val expected = if (s.isScan) 0 else s.children.map(g.levelOf).max + 1
+        assert(g.levelOf(s.id) == expected, s"${g.name}/${s.id}")
+      }
+      g.levels.zipWithIndex.foreach { case (lv, l) =>
+        assert(lv.map(_.id) == g.subQs.map(_.id).filter(g.levelOf(_) == l), s"${g.name}: level $l")
+      }
+      assert(g.levels.size == g.levelOf.max + 1, g.name)
+    }
+  }
+
+  test("withOutputs(identity) returns the graph unchanged") {
+    canonical.foreach(g => assert(g.withOutputs(identity) == g, g.name))
+  }
+
+  test("doubling one scan's output through withOutputs changes only its parent's input") {
+    canonical.foreach { g =>
+      g.subQs.filter(_.isScan).foreach { scan =>
+        val h = g.withOutputs(s =>
+          if (s.id == scan.id) s.copy(trueOutBytes = 2 * s.trueOutBytes, trueOutRows = 2 * s.trueOutRows) else s)
+        val parent = g.parentOf(scan.id)
+        g.subQs.zip(h.subQs).foreach { case (a, b) =>
+          val grow = if (a.id == parent) (scan.trueOutBytes, scan.trueOutRows) else (0L, 0L)
+          assert((b.trueInputBytes, b.trueInputRows) == ((a.trueInputBytes + grow._1, a.trueInputRows + grow._2)),
+            s"${g.name}: doubling ${scan.id} moved ${a.id}")
+        }
+      }
+    }
+  }
+
   test("contention is each subQ's level siblings and their input MB, on all 124 graphs") {
-    val graphs = WorkloadGen.queries("tpch") ++ WorkloadGen.queries("tpcds")
+    val graphs = canonical
     assert(graphs.size == 124)
     graphs.foreach { g =>
       assert(g.contention.size == g.numSubQs, g.name)
@@ -156,19 +189,19 @@ class WorkloadSpec extends AnyFunSuite {
   test("QueryGraph rejects non-topological children") {
     intercept[IllegalArgumentException] {
       QueryGraph("bad", Vector(
-        SubQ(0, Vector(OpType.Scan), Vector(1), Some("t"), 1, 1, 1, 1, 1.0, 1.0, 0)))
+        SubQ(0, Vector(OpType.Scan), Vector(1), Some("t"), 1, 1, 1, 1, 1.0, 1.0)))
     }
   }
 
   test("QueryGraph rejects ids out of position") {
     intercept[IllegalArgumentException] {
       QueryGraph("bad", Vector(
-        SubQ(1, Vector(OpType.Scan), Vector.empty, Some("t"), 1, 1, 1, 1, 1.0, 1.0, 0)))
+        SubQ(1, Vector(OpType.Scan), Vector.empty, Some("t"), 1, 1, 1, 1, 1.0, 1.0)))
     }
   }
 
   private def scan(id: Int) =
-    SubQ(id, Vector(OpType.Scan), Vector.empty, Some("t"), 1, 1, 1, 1, 1.0, 1.0, 0)
+    SubQ(id, Vector(OpType.Scan), Vector.empty, Some("t"), 1, 1, 1, 1, 1.0, 1.0)
 
   test("QueryGraph rejects a scan stage that reads other stages") {
     val e = intercept[IllegalArgumentException] {
@@ -178,13 +211,13 @@ class WorkloadSpec extends AnyFunSuite {
   }
 
   test("QueryGraph rejects a join stage without exactly two inputs") {
-    val join = SubQ(1, Vector(OpType.Join), Vector(0), None, 1, 1, 1, 1, 1.0, 1.0, 1)
+    val join = SubQ(1, Vector(OpType.Join), Vector(0), None, 1, 1, 1, 1, 1.0, 1.0)
     val e = intercept[IllegalArgumentException](QueryGraph("bad-join", Vector(scan(0), join)))
     assert(e.getMessage.contains("bad-join"))
   }
 
   test("QueryGraph rejects a stage that does not read what its children write") {
-    val join = SubQ(2, Vector(OpType.Join), Vector(0, 1), None, 2, 2, 1, 1, 1.0, 1.0, 1)
+    val join = SubQ(2, Vector(OpType.Join), Vector(0, 1), None, 2, 2, 1, 1, 1.0, 1.0)
     QueryGraph("consistent", Vector(scan(0), scan(1), join))
     for (bad <- Seq(join.copy(trueInputBytes = 3), join.copy(trueInputRows = 1))) {
       val e = intercept[IllegalArgumentException](QueryGraph("bad-input", Vector(scan(0), scan(1), bad)))
