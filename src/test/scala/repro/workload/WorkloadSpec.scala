@@ -115,6 +115,14 @@ class WorkloadSpec extends AnyFunSuite {
     assert(risky > 10, s"only $risky graphs have a join output as a build side")
   }
 
+  test("estOut applies the cardinality-error factor") {
+    val g = WorkloadGen.queries("tpch")(8)
+    g.subQs.zip(g.estimated.subQs).foreach { case (s, t) =>
+      assert(t.trueOutBytes == math.max(1L, (s.trueOutBytes * s.cardErrFactor).toLong))
+      assert(t.trueOutRows == math.max(1L, (s.trueOutRows * s.cardErrFactor).toLong))
+    }
+  }
+
   test("the estimated graph holds the CBO's statistics, ignores the truth and is idempotent") {
     canonical.zipWithIndex.foreach { case (g, i) =>
       val e = g.estimated
