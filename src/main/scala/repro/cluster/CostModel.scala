@@ -7,6 +7,9 @@ import repro.workload.{JoinAlgo, OpType, SubQ}
   *
   * Every mechanism the paper's tuning exploits is modeled explicitly:
   *
+  *   - reads by [[CostModel.StageInput]]: table scans, a compiled BHJ's
+  *     pipelined probe, a runtime BHJ's local shuffle read, a BHJ's
+  *     broadcast build side, and shuffle fetches for every other side;
   *   - partition counts from `s8`/`s9` (file splits) and `s5`/`s1`/`s11`/`s10`
   *     (shuffle partitions, AQE advisory coalescing, θs hygiene), so the
   *     parallelism sweet spot moves with total cores `k1·k3` (Fig 3c);
@@ -16,12 +19,13 @@ import repro.workload.{JoinAlgo, OpType, SubQ}
   *     saves the sort but risks spilling, SMJ pays `n log n`;
   *   - shuffle write/read rates shaped by compression `k7`, fetch size `k5`
   *     and the bypass-merge threshold `k6`;
-  *   - spill whenever the per-task working set exceeds `k2·k8/k1`;
+  *   - spill whenever the per-task working set exceeds `k2·k8/k1`, or a
+  *     BHJ's build side exceeds 60% of an executor's execution memory;
   *   - skew (`β`): a stage's slowest task is `skew ×` the mean unless the
   *     skew-join rules `s6`/`s7` split oversized partitions.
   *
-  * All costs are deterministic; `Simulator` layers scheduling, AQE and
-  * observation noise on top.
+  * All costs are deterministic; `Simulator` decides each stage's input and
+  * layers scheduling, AQE and observation noise on top.
   */
 object CostModel {
 
@@ -30,17 +34,24 @@ object CostModel {
     def mb: Double = bytes / 1048576.0
   }
 
-  /** How a stage obtains one input. */
-  sealed trait ReadMode extends Product with Serializable
-  object ReadMode {
-    /** Columnar read from a base table. */
-    case object Table extends ReadMode
-    /** Full shuffle fetch over the network. */
-    case object Shuffle extends ReadMode
-    /** AQE local shuffle read (BHJ converted at runtime — map-local files). */
-    case object LocalShuffle extends ReadMode
-    /** Pipelined from the child (BHJ planned at compile time — no exchange). */
-    case object Pipelined extends ReadMode
+  /** What one stage reads, decided once by the simulator: the statistics of
+    * each input side (a join's build side last) and the join algorithm the
+    * stage runs (`None` for a non-join).
+    */
+  sealed abstract class StageInput(val sides: Vector[SideStats], val algo: Option[JoinAlgo])
+      extends Product with Serializable
+  object StageInput {
+    /** A scan's columnar read of its base table. */
+    final case class Table(in: SideStats) extends StageInput(Vector(in), None)
+    /** A non-join stage's shuffle fetch of its children's outputs. */
+    final case class Shuffle(children: Vector[SideStats]) extends StageInput(children, None)
+    /** A join's two sides, the algorithm compile time `planned` and the one
+      * it `runs` after AQE's SMJ→{SHJ,BHJ} conversion. A compiled BHJ
+      * pipelines its probe side; a runtime BHJ reads it from local shuffle
+      * files; any other join fetches it over the shuffle.
+      */
+    final case class Join(probe: SideStats, build: SideStats, planned: JoinAlgo, runs: JoinAlgo)
+        extends StageInput(Vector(probe, build), Some(runs))
   }
 
   /** Cost of one stage.
@@ -98,24 +109,6 @@ object CostModel {
     spec.shuffleReadMbPerSecCore * (0.55 + 0.45 * math.min(1.0, c.maxSizeInFlightMb / 48.0)) /
       (1.0 + 0.012 * c.execInstances)
 
-  /** Core-seconds and IO MB to read one input. */
-  private def readCost(spec: ClusterSpec, c: ThetaC, in: SideStats, mode: ReadMode): (Double, Double) = {
-    val compress = if (c.shuffleCompress) 0.5 else 1.0
-    mode match {
-      case ReadMode.Table =>
-        (in.mb / spec.scanMbPerSecCore, in.mb)
-      case ReadMode.Shuffle =>
-        val wire = in.mb * compress
-        val cpu  = if (c.shuffleCompress) in.mb / spec.compressMbPerSecCore else 0.0
-        (wire / shuffleReadRate(spec, c) + cpu, wire)
-      case ReadMode.LocalShuffle =>
-        val wire = in.mb * compress
-        (wire / (shuffleReadRate(spec, c) * 2.5), wire)
-      case ReadMode.Pipelined =>
-        (in.mb / spec.pipeReadMbPerSecCore, 0.0)
-    }
-  }
-
   /** Core-seconds and IO MB to write the stage output to shuffle. */
   private def writeCost(spec: ClusterSpec, c: ThetaC, p: ThetaP, outMb: Double): (Double, Double) = {
     val compress = if (c.shuffleCompress) 0.5 else 1.0
@@ -128,85 +121,90 @@ object CostModel {
   /** Full cost of a stage.
     *
     * @param sub           the subQ being executed
-    * @param inputs        per-input true statistics (2 entries for joins,
-    *                      build side last; 1+ otherwise)
-    * @param readModes     one mode per input
-    * @param algo          join algorithm if this is a join stage
+    * @param input         what the stage reads, on true statistics: a scan
+    *                      a `Table`, a join a `Join`, any other stage a
+    *                      non-empty `Shuffle`
     * @param writesShuffle whether the stage writes its output to an exchange
     */
   def stageCost(
       spec: ClusterSpec,
       sub: SubQ,
-      inputs: Vector[SideStats],
-      readModes: Vector[ReadMode],
-      algo: Option[JoinAlgo],
+      input: StageInput,
       writesShuffle: Boolean,
       c: ThetaC,
       p: ThetaP,
       s: ThetaS): StageCost = {
-    require(inputs.nonEmpty && inputs.size == readModes.size, "inputs/readModes mismatch")
-    val totalInMb = inputs.map(_.mb).sum
+    require(input match {
+      case _: StageInput.Table          => sub.isScan
+      case _: StageInput.Join           => sub.isJoin
+      case StageInput.Shuffle(children) => !sub.isScan && !sub.isJoin && children.nonEmpty
+    }, s"subQ ${sub.id} (${sub.ops.mkString(",")}) cannot read $input")
+    val totalInMb = input.sides.map(_.mb).sum
     val outMb     = sub.trueOutBytes / 1048576.0
     val outRows   = math.max(1.0, sub.trueOutRows.toDouble)
 
-    val partitions = algo match {
-      case Some(JoinAlgo.BHJ) if readModes.head == ReadMode.Pipelined =>
-        scanPartitions(inputs.head.mb, p) // pipelined with the probe child
-      case _ if sub.isScan => scanPartitions(totalInMb, p)
-      case _               => shufflePartitions(totalInMb, p, s)
+    val partitions = input match {
+      case StageInput.Join(probe, _, JoinAlgo.BHJ, _) =>
+        scanPartitions(probe.mb, p) // pipelined with the probe child
+      case _: StageInput.Table => scanPartitions(totalInMb, p)
+      case _                   => shufflePartitions(totalInMb, p, s)
     }
 
     var workSec = 0.0
     var ioMb    = 0.0
     var wallExtra = 0.0
 
-    // Input reads. For joins, the build side of a BHJ is broadcast instead.
-    val joinBuild = if (algo.isDefined && inputs.size >= 2) Some(inputs.last) else None
-    inputs.zip(readModes).zipWithIndex.foreach { case ((in, mode), idx) =>
-      val isBhjBuild = algo.contains(JoinAlgo.BHJ) && idx == inputs.size - 1
-      if (isBhjBuild) {
-        // Collect at the driver + replicate to every executor. Broadcasting
-        // a huge build side is the Fig 3(b) catastrophe: the fan-out is
-        // serialized through the driver, and past the driver's memory cap
-        // it thrashes (spill/GC/retry) — and a compile-time BHJ cannot be
-        // undone by AQE.
-        val thrash = if (in.mb > spec.driverBroadcastCapMb) 4.0
-                     else if (in.mb > spec.driverBroadcastCapMb / 2) 2.0
-                     else 1.0
-        wallExtra += in.mb / spec.broadcastMbPerSec * (1.0 + 0.03 * c.execInstances) * thrash
-        ioMb      += in.mb // collect once; replication rides the network, not storage IO
-        workSec   += in.rows * spec.hashRowNanos * 1e-9 * c.execInstances // build per executor
-      } else {
-        val (cost, io) = readCost(spec, c, in, mode)
-        workSec += cost; ioMb += io
-      }
+    // Input reads, one side at a time in `sides` order.
+    val compress = if (c.shuffleCompress) 0.5 else 1.0
+    def read(cpuSec: Double, mb: Double): Unit = { workSec += cpuSec; ioMb += mb }
+    def shuffleRead(in: SideStats): Unit = {
+      val wire = in.mb * compress
+      val cpu  = if (c.shuffleCompress) in.mb / spec.compressMbPerSecCore else 0.0
+      read(wire / shuffleReadRate(spec, c) + cpu, wire)
+    }
+    input match {
+      case StageInput.Table(in) => read(in.mb / spec.scanMbPerSecCore, in.mb)
+      case StageInput.Shuffle(children) => children.foreach(shuffleRead)
+      case StageInput.Join(probe, build, planned, runs) =>
+        if (planned == JoinAlgo.BHJ) read(probe.mb / spec.pipeReadMbPerSecCore, 0.0)
+        else if (runs == JoinAlgo.BHJ) {
+          val wire = probe.mb * compress // map-local files: no network fetch
+          read(wire / (shuffleReadRate(spec, c) * 2.5), wire)
+        } else shuffleRead(probe)
+        if (runs == JoinAlgo.BHJ) {
+          // Collect at the driver + replicate to every executor. Broadcasting
+          // a huge build side is the Fig 3(b) catastrophe: the fan-out is
+          // serialized through the driver, and past the driver's memory cap
+          // it thrashes (spill/GC/retry) — and a compile-time BHJ cannot be
+          // undone by AQE.
+          val thrash = if (build.mb > spec.driverBroadcastCapMb) 4.0
+                       else if (build.mb > spec.driverBroadcastCapMb / 2) 2.0
+                       else 1.0
+          wallExtra += build.mb / spec.broadcastMbPerSec * (1.0 + 0.03 * c.execInstances) * thrash
+          ioMb      += build.mb // collect once; replication rides the network, not storage IO
+          workSec   += build.rows * spec.hashRowNanos * 1e-9 * c.execInstances // build per executor
+        } else shuffleRead(build)
     }
 
     // Operator CPU.
-    val nRows = inputs.map(_.rows.toDouble).sum
-    sub.ops.foreach {
-      case OpType.Filter | OpType.Project | OpType.Union =>
+    val nRows = input.sides.map(_.rows.toDouble).sum
+    sub.ops.foreach(op => (op, input) match {
+      case (OpType.Filter | OpType.Project | OpType.Union, _) =>
         workSec += nRows * spec.rowCpuNanos * 1e-9
-      case OpType.Scan => () // covered by the read rate
-      case OpType.Join =>
-        val build = joinBuild.get
-        val probe = inputs.head
-        algo.get match {
-          case JoinAlgo.SMJ =>
-            inputs.foreach(in => workSec += in.rows * spec.sortRowNanos * 1e-9 * log2(in.rows.toDouble / partitions))
-            workSec += nRows * spec.rowCpuNanos * 1e-9
-          case JoinAlgo.SHJ =>
-            workSec += build.rows * spec.hashRowNanos * 1e-9
-            workSec += probe.rows * spec.hashRowNanos * 0.8 * 1e-9
-          case JoinAlgo.BHJ =>
-            workSec += probe.rows * spec.hashRowNanos * 0.8 * 1e-9 // probe only; build counted above
-        }
-      case OpType.Aggregate =>
+      case (OpType.Join, StageInput.Join(_, _, _, JoinAlgo.SMJ)) =>
+        input.sides.foreach(in => workSec += in.rows * spec.sortRowNanos * 1e-9 * log2(in.rows.toDouble / partitions))
+        workSec += nRows * spec.rowCpuNanos * 1e-9
+      case (OpType.Join, StageInput.Join(probe, build, _, JoinAlgo.SHJ)) =>
+        workSec += build.rows * spec.hashRowNanos * 1e-9
+        workSec += probe.rows * spec.hashRowNanos * 0.8 * 1e-9
+      case (OpType.Join, StageInput.Join(probe, _, _, JoinAlgo.BHJ)) =>
+        workSec += probe.rows * spec.hashRowNanos * 0.8 * 1e-9 // probe only; build counted above
+      case (OpType.Aggregate, _) =>
         workSec += nRows * spec.aggRowNanos * 1e-9
-      case OpType.Sort =>
+      case (OpType.Sort, _) =>
         workSec += outRows * spec.sortRowNanos * 1e-9 * log2(outRows / partitions)
-      case OpType.Exchange => () // write handled below
-    }
+      case _ => () // a scan's CPU is in its read rate; the exchange write is below
+    })
 
     if (writesShuffle) {
       val (cost, io) = writeCost(spec, c, p, outMb)
@@ -215,27 +213,26 @@ object CostModel {
 
     // Shuffle fetch setup: every (reduce partition × executor) pair opens a
     // connection — over-partitioning on a wide context wastes real work.
-    if (readModes.contains(ReadMode.Shuffle))
+    // Charged on every non-scan stage, so a compiled BHJ pays it too,
+    // although it pipelines its probe and broadcasts its build.
+    if (!sub.isScan)
       workSec += partitions.toDouble * c.execInstances * 8e-4
 
-    // Memory pressure → spill. Working set per task depends on the operator.
-    val taskMemMb = c.taskMemoryMb
-    val execMemMb = c.execMemoryGb * 1024.0 * c.memoryFraction
-    val wsPerTaskMb = algo match {
-      case Some(JoinAlgo.SHJ) => joinBuild.get.mb / partitions * 1.8
-      case Some(JoinAlgo.SMJ) => inputs.map(_.mb).max / partitions * 1.2
-      case Some(JoinAlgo.BHJ) => 0.0 // handled at executor level below
-      case None if sub.ops.contains(OpType.Aggregate) => totalInMb / partitions * 1.5
-      case None if sub.ops.contains(OpType.Sort)      => totalInMb / partitions * 1.2
-      case None => 0.0
-    }
-    var spill = 1.0
-    if (wsPerTaskMb > taskMemMb)
-      spill = 1.0 + math.min(3.0, wsPerTaskMb / taskMemMb - 1.0)
-    if (algo.contains(JoinAlgo.BHJ)) {
-      val bhjWsMb = joinBuild.get.mb * 1.8
-      if (bhjWsMb > execMemMb * 0.6)
-        spill = math.max(spill, 1.0 + math.min(6.0, 4.0 * (bhjWsMb / (execMemMb * 0.6) - 1.0)))
+    // Memory pressure → spill. A BHJ holds its build side per executor; any
+    // other stage's working set is per task and depends on the operator.
+    val spill = input match {
+      case StageInput.Join(_, build, _, JoinAlgo.BHJ) =>
+        val (wsMb, memMb) = (build.mb * 1.8, c.execMemoryGb * 1024.0 * c.memoryFraction * 0.6)
+        if (wsMb > memMb) 1.0 + math.min(6.0, 4.0 * (wsMb / memMb - 1.0)) else 1.0
+      case _ =>
+        val wsMb = input match {
+          case StageInput.Join(_, build, _, JoinAlgo.SHJ) => build.mb / partitions * 1.8
+          case StageInput.Join(probe, build, _, _)        => math.max(probe.mb, build.mb) / partitions * 1.2 // SMJ
+          case _ if sub.ops.contains(OpType.Aggregate)    => totalInMb / partitions * 1.5
+          case _ if sub.ops.contains(OpType.Sort)         => totalInMb / partitions * 1.2
+          case _ => 0.0
+        }
+        if (wsMb > c.taskMemoryMb) 1.0 + math.min(3.0, wsMb / c.taskMemoryMb - 1.0) else 1.0
     }
     workSec *= spill
     ioMb    *= (1.0 + (spill - 1.0) * 0.5) // spills re-read/re-write

@@ -3,7 +3,7 @@ package repro.cluster
 import scala.util.Random
 import repro.params.{Configuration, ThetaC, ThetaP, ThetaS}
 import repro.workload.{JoinAlgo, QueryGraph, SubQ}
-import repro.cluster.CostModel.{ReadMode, SideStats}
+import repro.cluster.CostModel.{SideStats, StageInput}
 
 /** Execution record of one stage: outcomes only, no model input. */
 final case class StageExec(
@@ -61,7 +61,7 @@ trait RuntimeHooks {
 final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
 
   /** True output statistics per subQ (configuration-independent). */
-  def trueOut(g: QueryGraph): Map[Int, SideStats] =
+  private def trueOut(g: QueryGraph): Map[Int, SideStats] =
     g.subQs.map(s => s.id -> SideStats(s.trueOutBytes, s.trueOutRows)).toMap
 
   /** Compile-time physical plan: one join algorithm per join stage,
@@ -120,39 +120,31 @@ final class Simulator(val spec: ClusterSpec = ClusterSpec.default) {
       }
 
       val costs = subs.map { sub =>
-        // The stage's true inputs (a join's build side last), how it reads
-        // each, and its runtime join algorithm. A compiled BHJ pipelines its
-        // probe side; a runtime BHJ reads it from local shuffle files.
-        val (inputs, modes, algo) =
-          if (sub.isScan)
-            (Vector(SideStats(sub.trueInputBytes, sub.trueInputRows)), Vector(ReadMode.Table), None)
+        // What the stage reads, on true statistics, with a join's runtime
+        // algorithm decided under the current θp.
+        val input =
+          if (sub.isScan) StageInput.Table(SideStats(sub.trueInputBytes, sub.trueInputRows))
           else if (sub.isJoin) {
             val (probe, build) = g.probeBuild(sub)
             val planned = compiled(sub.id)
-            val a = runtimeAlgo(planned, out(build).mb, thetaP)
-            val probeMode =
-              if (planned == JoinAlgo.BHJ) ReadMode.Pipelined
-              else if (a == JoinAlgo.BHJ) ReadMode.LocalShuffle
-              else ReadMode.Shuffle
-            (Vector(out(probe), out(build)), Vector(probeMode, ReadMode.Shuffle), Some(a))
-          } else
-            (sub.children.map(out), sub.children.map(_ => ReadMode.Shuffle), None)
+            StageInput.Join(out(probe), out(build), planned, runtimeAlgo(planned, out(build).mb, thetaP))
+          } else StageInput.Shuffle(sub.children.map(out))
 
         // --- Query-stage (QS) optimization request, with pruning rules:
         // skip scan stages and stages smaller than the advisory size.
-        val inputMb = inputs.map(_.mb).sum
+        val inputMb = input.sides.map(_.mb).sum
         val thetaS = hooks match {
           case Some(h) if !sub.isScan && inputMb > thetaP.advisoryPartitionMb =>
             qsSent += 1
-            h.onQueryStage(sub, inputMb, algo, s0)
+            h.onQueryStage(sub, inputMb, input.algo, s0)
           case _ => s0
         }
 
         // A child skips its shuffle write iff its parent join was compiled BHJ.
         val writes = g.writesShuffle(sub.id, compiled.get)
-        val cost = CostModel.stageCost(spec, sub, inputs, modes, algo, writes, c, thetaP, thetaS)
+        val cost = CostModel.stageCost(spec, sub, input, writes, c, thetaP, thetaS)
         val f = noise()
-        (sub, algo, cost.copy(workCoreSec = cost.workCoreSec * f, maxTaskSec = cost.maxTaskSec * f))
+        (sub, input.algo, cost.copy(workCoreSec = cost.workCoreSec * f, maxTaskSec = cost.maxTaskSec * f))
       }
 
       // Stages at the same level share the cluster: wall time is bounded by

@@ -1,7 +1,7 @@
 package repro
 
 import java.security.MessageDigest
-import repro.cluster.{ClusterSpec, RuntimeHooks, Simulator}
+import repro.cluster.{ClusterSpec, QueryExec, RuntimeHooks, Simulator}
 import repro.cluster.CostModel.SideStats
 import repro.harness.Calibration
 import repro.model.{GraphEmbedder, PlanFeatures, QueryModels, TestModels}
@@ -15,6 +15,11 @@ import repro.workload.{JoinAlgo, QueryGraph, SubQ, TraceGen, WorkloadGen}
   * left every output bit-identical: run it before and after the change and
   * compare. It reads only long-standing public names, so the same file runs
   * on older commits. Run with `sbt "Test/runMain repro.Fingerprint"`.
+  *
+  * It also prints how many executed stages of each kind the hooked runs
+  * digest: scans (`Table`), other non-join stages (`Shuffle`), and joins by
+  * compiled → runtime algorithm, so a reader sees which cost paths the
+  * digests cover.
   */
 object Fingerprint {
 
@@ -68,6 +73,15 @@ object Fingerprint {
     val units = confs.map(c => (c.c.toUnit ++ c.p.toUnit ++ c.s.toUnit).toArray)
     val prefs = Vector((0.1, 0.9), (0.5, 0.5), (0.9, 0.1))
     val models = TestModels.untrained()
+    val kinds = collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    def hooked(g: QueryGraph, compiled: Map[Int, JoinAlgo], e: QueryExec): QueryExec = {
+      e.stages.foreach { st =>
+        val kind = st.algo.fold(if (g.subQs(st.subQId).isScan) "Table" else "Shuffle")(a =>
+          s"Join ${compiled(st.subQId)}->$a")
+        kinds(kind) += 1
+      }
+      e
+    }
 
     val workload = new Digest
     for (g <- graphs; v <- Seq(g, g.estimated)) {
@@ -80,7 +94,8 @@ object Fingerprint {
       cluster.add(sim.runStatic(g, c, noiseSeed = if (k == 0) -1L else k.toLong))
       if (k < 2) {
         val hooks = new ScriptedHooks(cluster, thetaPs, thetaSs)
-        cluster.add(sim.execute(g, c.c, sim.compilePlan(g, _ => c.p), c.p, c.s, Some(hooks)))
+        val compiled = sim.compilePlan(g, _ => c.p)
+        cluster.add(hooked(g, compiled, sim.execute(g, c.c, compiled, c.p, c.s, Some(hooks))))
       }
     }
 
@@ -115,7 +130,8 @@ object Fingerprint {
       val g = qm.g
       val (p, s) = (ThetaAggregator.aggregateP(g, fc), ThetaAggregator.aggregateS(g, fc))
       val hooks = new RuntimeOptimizer(qm, fc.cU, pref, pInit = p)
-      runtime.add(p, s, sim.execute(g, fc.thetaC, sim.compilePlan(g, _ => p), p, s, Some(hooks)))
+      val compiled = sim.compilePlan(g, _ => p)
+      runtime.add(p, s, hooked(g, compiled, sim.execute(g, fc.thetaC, compiled, p, s, Some(hooks))))
     }
     for (g <- tpch) {
       val qm = new QueryModels(g, models, spec)
@@ -134,6 +150,7 @@ object Fingerprint {
 
     Seq("workload" -> workload, "cluster" -> cluster, "model" -> model, "moo" -> moo, "runtime" -> runtime)
       .foreach { case (name, d) => println(f"$name%-9s ${d.hex}") }
+    println("hooked stages: " + kinds.toSeq.sorted.map { case (k, n) => s"$k $n" }.mkString(", "))
     println(f"(${(System.nanoTime() - t0) / 1e9}%.1f s)")
   }
 }

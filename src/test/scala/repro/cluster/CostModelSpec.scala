@@ -79,8 +79,8 @@ class CostModelSpec extends AnyFunSuite {
   // ---- stage costs ------------------------------------------------------
 
   private def scanCost(conf: Configuration, bytes: Long = 1L << 30): StageCost =
-    CostModel.stageCost(spec, scanSub(bytes), Vector(SideStats(bytes, 10000000L)),
-      Vector(ReadMode.Table), None, writesShuffle = true, conf.c, conf.p, conf.s)
+    CostModel.stageCost(spec, scanSub(bytes), StageInput.Table(SideStats(bytes, 10000000L)),
+      writesShuffle = true, conf.c, conf.p, conf.s)
 
   test("stage cost scales with input size") {
     val small = scanCost(Configuration.default, 1L << 28)
@@ -91,9 +91,9 @@ class CostModelSpec extends AnyFunSuite {
 
   test("skipping the shuffle write is cheaper") {
     val sub = scanSub()
-    val in = Vector(SideStats(sub.trueInputBytes, sub.trueInputRows))
-    val w = CostModel.stageCost(spec, sub, in, Vector(ReadMode.Table), None, true, c, p, s)
-    val nw = CostModel.stageCost(spec, sub, in, Vector(ReadMode.Table), None, false, c, p, s)
+    val in = StageInput.Table(SideStats(sub.trueInputBytes, sub.trueInputRows))
+    val w = CostModel.stageCost(spec, sub, in, true, c, p, s)
+    val nw = CostModel.stageCost(spec, sub, in, false, c, p, s)
     assert(nw.workCoreSec < w.workCoreSec)
     assert(nw.ioMb < w.ioMb)
   }
@@ -106,34 +106,36 @@ class CostModelSpec extends AnyFunSuite {
     assert(on.ioMb < off.ioMb)
   }
 
-  private def joinCost(algo: JoinAlgo, probeMb: Long, buildMb: Long,
-                       conf: Configuration = Configuration.default,
-                       probeMode: ReadMode = ReadMode.Shuffle): StageCost = {
+  /** A join stage that compile time planned as `planned` and that runs as
+    * `runs`.
+    */
+  private def joinCost(planned: JoinAlgo, runs: JoinAlgo, probeMb: Long, buildMb: Long,
+                       conf: Configuration = Configuration.default): StageCost = {
     val probe = SideStats(probeMb << 20, probeMb * 10000)
     val build = SideStats(buildMb << 20, buildMb * 10000)
     CostModel.stageCost(spec, joinSub((probeMb + buildMb) << 20, (probeMb + buildMb) * 10000),
-      Vector(probe, build), Vector(probeMode, ReadMode.Shuffle), Some(algo),
+      StageInput.Join(probe, build, planned, runs),
       writesShuffle = true, conf.c, conf.p, conf.s)
   }
 
   test("BHJ with a small build side beats SMJ") {
     val cores = ThetaC.default.totalCores
-    val bhj = joinCost(JoinAlgo.BHJ, 4000, 8, probeMode = ReadMode.Pipelined)
-    val smj = joinCost(JoinAlgo.SMJ, 4000, 8)
+    val bhj = joinCost(JoinAlgo.BHJ, JoinAlgo.BHJ, 4000, 8)
+    val smj = joinCost(JoinAlgo.SMJ, JoinAlgo.SMJ, 4000, 8)
     assert(bhj.workCoreSec / cores + bhj.wallExtraSec < smj.workCoreSec / cores)
     assert(bhj.ioMb < smj.ioMb)
   }
 
   test("SHJ saves the sort CPU relative to SMJ when memory suffices") {
     val big = Configuration.default.copy(c = c.copy(execMemoryGb = 32))
-    val shj = joinCost(JoinAlgo.SHJ, 2000, 500, big)
-    val smj = joinCost(JoinAlgo.SMJ, 2000, 500, big)
+    val shj = joinCost(JoinAlgo.SHJ, JoinAlgo.SHJ, 2000, 500, big)
+    val smj = joinCost(JoinAlgo.SMJ, JoinAlgo.SMJ, 2000, 500, big)
     assert(shj.workCoreSec < smj.workCoreSec)
   }
 
   test("broadcasting a huge build side is catastrophic (Fig 3b)") {
-    val small = joinCost(JoinAlgo.BHJ, 4000, 100, probeMode = ReadMode.Pipelined)
-    val huge  = joinCost(JoinAlgo.BHJ, 4000, 5000, probeMode = ReadMode.Pipelined)
+    val small = joinCost(JoinAlgo.BHJ, JoinAlgo.BHJ, 4000, 100)
+    val huge  = joinCost(JoinAlgo.BHJ, JoinAlgo.BHJ, 4000, 5000)
     // 50x the build bytes must cost far more than 50x in serialized wall
     // time (driver thrash past the cap).
     assert(huge.wallExtraSec > small.wallExtraSec * 100)
@@ -143,37 +145,35 @@ class CostModelSpec extends AnyFunSuite {
     val tiny = Configuration.default.copy(
       c = c.copy(execCores = 8, execMemoryGb = 2),
       p = p.copy(shufflePartitions = 20, advisoryPartitionMb = 256))
-    val cost = joinCost(JoinAlgo.SHJ, 4000, 3000, tiny)
+    val cost = joinCost(JoinAlgo.SHJ, JoinAlgo.SHJ, 4000, 3000, tiny)
     assert(cost.spillFactor > 1.0)
   }
 
   test("ample memory avoids the spill") {
     val roomy = Configuration.default.copy(c = c.copy(execCores = 2, execMemoryGb = 32))
-    val cost = joinCost(JoinAlgo.SHJ, 1000, 200, roomy)
+    val cost = joinCost(JoinAlgo.SHJ, JoinAlgo.SHJ, 1000, 200, roomy)
     assert(cost.spillFactor == 1.0)
   }
 
   test("maxTaskSec reflects skew") {
-    val even = CostModel.stageCost(spec, joinSub(1L << 32, 20000000L, skew = 1.0),
-      Vector(SideStats(1L << 31, 10000000L), SideStats(1L << 31, 10000000L)),
-      Vector(ReadMode.Shuffle, ReadMode.Shuffle), Some(JoinAlgo.SMJ), true, c, p, s)
-    val skewed = CostModel.stageCost(spec, joinSub(1L << 32, 20000000L, skew = 3.0),
-      Vector(SideStats(1L << 31, 10000000L), SideStats(1L << 31, 10000000L)),
-      Vector(ReadMode.Shuffle, ReadMode.Shuffle), Some(JoinAlgo.SMJ), true, c, p, s)
+    val half = SideStats(1L << 31, 10000000L)
+    val smj = StageInput.Join(half, half, JoinAlgo.SMJ, JoinAlgo.SMJ)
+    val even = CostModel.stageCost(spec, joinSub(1L << 32, 20000000L, skew = 1.0), smj, true, c, p, s)
+    val skewed = CostModel.stageCost(spec, joinSub(1L << 32, 20000000L, skew = 3.0), smj, true, c, p, s)
     assert(skewed.maxTaskSec > even.maxTaskSec * 1.5)
     assert(math.abs(skewed.workCoreSec - even.workCoreSec) / even.workCoreSec < 0.01)
   }
 
   test("local shuffle read (runtime BHJ) is cheaper than a full shuffle read") {
-    val localc = joinCost(JoinAlgo.BHJ, 2000, 8, probeMode = ReadMode.LocalShuffle)
-    val fullc  = joinCost(JoinAlgo.SHJ, 2000, 8, probeMode = ReadMode.Shuffle)
+    val localc = joinCost(JoinAlgo.SMJ, JoinAlgo.BHJ, 2000, 8)
+    val fullc  = joinCost(JoinAlgo.SHJ, JoinAlgo.SHJ, 2000, 8)
     assert(localc.workCoreSec < fullc.workCoreSec)
   }
 
   test("larger fetch buffers (k5) speed up shuffle reads") {
-    val slow = joinCost(JoinAlgo.SMJ, 2000, 500,
+    val slow = joinCost(JoinAlgo.SMJ, JoinAlgo.SMJ, 2000, 500,
       Configuration.default.copy(c = c.copy(maxSizeInFlightMb = 8)))
-    val fast = joinCost(JoinAlgo.SMJ, 2000, 500,
+    val fast = joinCost(JoinAlgo.SMJ, JoinAlgo.SMJ, 2000, 500,
       Configuration.default.copy(c = c.copy(maxSizeInFlightMb = 96)))
     assert(fast.workCoreSec < slow.workCoreSec)
   }
@@ -185,10 +185,32 @@ class CostModelSpec extends AnyFunSuite {
     assert(math.abs(cost - expected) < 1e-9)
   }
 
-  test("stageCost rejects mismatched inputs and read modes") {
-    intercept[IllegalArgumentException] {
-      CostModel.stageCost(spec, scanSub(), Vector(SideStats(1, 1)),
-        Vector(ReadMode.Table, ReadMode.Shuffle), None, true, c, p, s)
+  test("a join's partition count follows its plan") {
+    val (probeMb, buildMb) = (4000L, 8L)
+    val totalMb = ((probeMb + buildMb) << 20) / 1048576.0
+    val scanned = CostModel.scanPartitions(probeMb.toDouble, p)
+    val shuffled = CostModel.shufflePartitions(totalMb, p, s)
+    assert(scanned != shuffled)
+    // A compiled BHJ runs pipelined with its probe child's scan tasks.
+    assert(joinCost(JoinAlgo.BHJ, JoinAlgo.BHJ, probeMb, buildMb).partitions == scanned)
+    // Every other join reads both sides through an exchange.
+    for ((planned, runs) <- Seq(JoinAlgo.SMJ -> JoinAlgo.BHJ, JoinAlgo.SHJ -> JoinAlgo.SHJ,
+        JoinAlgo.SMJ -> JoinAlgo.SHJ, JoinAlgo.SMJ -> JoinAlgo.SMJ))
+      assert(joinCost(planned, runs, probeMb, buildMb).partitions == shuffled, s"$planned -> $runs")
+  }
+
+  test("stageCost rejects an input its stage cannot read") {
+    val side = SideStats(1L << 20, 1000L)
+    val agg = SubQ(2, Vector(OpType.Aggregate, OpType.Exchange), Vector(0), None,
+      1L << 20, 1000L, 1L << 19, 500L, 1.0, 1.0)
+    val e = intercept[IllegalArgumentException] {
+      CostModel.stageCost(spec, scanSub(), StageInput.Shuffle(Vector(side)), true, c, p, s)
     }
+    assert(e.getMessage.contains("subQ 0"))
+    intercept[IllegalArgumentException] {
+      CostModel.stageCost(spec, agg, StageInput.Join(side, side, JoinAlgo.SMJ, JoinAlgo.SMJ), true, c, p, s)
+    }
+    // The same aggregate reads its child's output over the shuffle.
+    assert(CostModel.stageCost(spec, agg, StageInput.Shuffle(Vector(side)), true, c, p, s).partitions >= 1)
   }
 }
